@@ -76,14 +76,14 @@ def _fingerprint(proto):
 
 def _bench(report_fn):
     stream = _make_stream()
-    # Lockstep isolates the supervision delta (always-snapshot +
-    # deadline waits + heartbeats) from speculation noise; both engines
-    # keep their worker pools warm across the interleaved repetitions.
+    # The two engines differ only in the supervision delta
+    # (always-snapshot + deadline waits + heartbeats); both keep their
+    # worker pools warm across the interleaved repetitions.
     supervised = ShardedEngine(
-        batch_size=BATCH, workers=WORKERS, pipeline="off", supervision="on"
+        batch_size=BATCH, workers=WORKERS, supervision="on"
     )
     unsupervised = ShardedEngine(
-        batch_size=BATCH, workers=WORKERS, pipeline="off", supervision="off"
+        batch_size=BATCH, workers=WORKERS, supervision="off"
     )
     base_best = live_best = None
     base_proto = live_proto = None
@@ -112,7 +112,6 @@ def _bench(report_fn):
     chaos = ShardedEngine(
         batch_size=BATCH,
         workers=WORKERS,
-        pipeline="off",
         fault_plan="kill:1:2",
         worker_timeout=30.0,
     )

@@ -17,11 +17,11 @@ catalog of estimation queries concurrently over one shared stream pass
 
 Every subcommand accepts ``--engine {reference,batched,columnar,sharded}``
 (``--batch-size N`` for the batching engines, ``--workers N``,
-``--pipeline {auto,on,off}``, ``--worker-timeout SECONDS``,
-``--max-worker-restarts N``, and the debug-only ``--fault-plan PLAN``
-for the sharded engine, ``--kernels {auto,numba,numpy}`` for the
-columnar-plane engines — see :mod:`repro.kernels`) to pick the
-execution runtime; see :mod:`repro.runtime`.
+``--worker-timeout SECONDS``, ``--max-worker-restarts N``, and the
+debug-only ``--fault-plan PLAN`` for the sharded engine,
+``--kernels {auto,numba,numpy}`` for the columnar-plane engines — see
+:mod:`repro.kernels`) to pick the execution runtime; see
+:mod:`repro.runtime`.
 Every protocol has a native columnar fast path, so ``--engine columnar``
 is bit-identical to ``batched`` on each subcommand, just faster —
 and ``--engine sharded`` runs the site passes across worker processes,
@@ -124,14 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: all CPU cores)",
         )
         p.add_argument(
-            "--pipeline",
-            choices=("auto", "on", "off"),
-            default=None,
-            help="pipelined window protocol for --engine sharded: "
-            "speculative windows + double-buffered rings + arrival-order "
-            "folds (auto/on) or strict lockstep (off); default: auto",
-        )
-        p.add_argument(
             "--kernels",
             choices=("auto", "numba", "numpy"),
             default=None,
@@ -169,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="profile the run with cProfile and dump the top 20 "
             "functions to stderr (plus the sharded engine's window/"
-            "speculation/timing breakdown when --engine sharded ran)",
+            "rollback/timing breakdown when --engine sharded ran)",
         )
         p.add_argument(
             "--profile-sort",
@@ -284,8 +276,6 @@ def _check_engine_flags(args: argparse.Namespace) -> None:
         )
     if args.workers is not None and args.engine != "sharded":
         raise SystemExit("--workers requires --engine sharded")
-    if args.pipeline is not None and args.engine != "sharded":
-        raise SystemExit("--pipeline requires --engine sharded")
     if args.kernels is not None and args.engine not in (
         "columnar",
         "sharded",
@@ -309,7 +299,6 @@ def _engine_of(args: argparse.Namespace):
         args.engine,
         batch_size=args.batch_size,
         workers=args.workers,
-        pipeline=args.pipeline,
         kernels=args.kernels,
         worker_timeout=args.worker_timeout,
         max_worker_restarts=args.max_worker_restarts,
@@ -458,14 +447,13 @@ def _cmd_query(args: argparse.Namespace) -> str:
     _check_engine_flags(args)
     if (
         args.workers is not None
-        or args.pipeline is not None
         or args.worker_timeout is not None
         or args.max_worker_restarts is not None
         or args.fault_plan is not None
     ):
         raise SystemExit(
             "repro query runs its fused multi-query pass in-process; "
-            "--workers/--pipeline/--worker-timeout/--max-worker-restarts/"
+            "--workers/--worker-timeout/--max-worker-restarts/"
             "--fault-plan do not apply (engine 'sharded' selects "
             "the columnar data plane)"
         )

@@ -4,11 +4,10 @@ A :class:`FaultPlan` is a small list of :class:`FaultSpec` entries, each
 naming a fault *kind*, the worker it strikes, and the window at which it
 fires.  The plan is threaded through test-only seams in the sharded
 engine: worker-side seams fire just before/instead of a result send
-(``kill``/``hang``/``drop``), on the encoded wire descriptors
-(``corrupt``/``truncate``), or on the pipelined commit ack
-(``stall_ack``); the one parent-side kind (``respawn``) makes the
-supervisor's worker respawn fail a fixed number of times before
-succeeding.
+(``kill``/``hang``/``drop``) or on the encoded wire descriptors
+(``corrupt``/``truncate``); the one parent-side kind (``respawn``)
+makes the supervisor's worker respawn fail a fixed number of times
+before succeeding.
 
 Everything here is deterministic by construction: firing is keyed on
 (worker, window) — never on wall-clock time — and the only randomness
@@ -51,7 +50,6 @@ FAULT_KINDS = (
     "drop",  # silently skip the result send (parent sees a hang)
     "corrupt",  # mangle a pack descriptor so wire validation rejects it
     "truncate",  # point a pack descriptor past its buffer
-    "stall_ack",  # pipelined only: never answer the commit ack
     "respawn",  # parent-side: fail the next N respawns of this worker
 )
 

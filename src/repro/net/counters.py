@@ -162,12 +162,12 @@ class MessageCounters:
         return self.upstream + self.downstream
 
     def snapshot_state(self):
-        """An opaque rewind point for the pipelined sharded engine.
+        """An opaque rewind point for the sharded engine's recovery.
 
-        The engine counts packs as it folds them out of order; when a
-        mid-window response forces an exact ordered refold, the
-        counters rewind with the coordinator so the replay re-records
-        everything exactly once.
+        The engine counts packs as it folds them; when a worker fault
+        interrupts a window's fold, the counters rewind with the
+        coordinator so the retried window re-records everything exactly
+        once.
         """
         return (
             self.upstream,

@@ -254,11 +254,10 @@ class MessagePack:
         the descriptor :meth:`read_from` rebuilds from.  Returns
         ``None`` when the columns do not fit before ``limit`` (the
         caller then falls back to inline transport).  This is the
-        sharded engine's shared-memory ring format: with the
-        double-buffered pipelined transport each (worker, window) owns
-        the ``[offset, limit)`` slot exclusively until the window
-        commits, so a writer never races the parent's zero-copy reads
-        of the previous slot.
+        sharded engine's shared-memory ring format: a worker writes a
+        window's packs only after the parent has folded (or discarded)
+        everything it read from the ring, so a writer never races the
+        parent's zero-copy reads.
         """
         import numpy as _np
 

@@ -10,9 +10,9 @@ metrics **without changing their public shapes**:
   counts as gauges (counters are cumulative per network, so last-write
   gauges re-export safely after every run);
 * :func:`observe_sharded_stats` — the sharded engine's
-  ``last_run_stats`` (windows, rollbacks, speculation verdicts,
-  unordered folds, phase timings) as counters, so the dict and the
-  registry can never drift: one is computed from the other's inputs.
+  ``last_run_stats`` (windows, rollbacks, controls, phase timings)
+  as counters, so the dict and the registry can never drift: one is
+  computed from the other's inputs.
 
 The name mapping is documented in the README's "Observability" section
 and pinned by the golden metric-name test in ``tests/test_obs.py``.
@@ -45,7 +45,6 @@ WORKER_METRIC_NAMES = (
     "compute_seconds",
     "snapshots",
     "rolls_served",
-    "spec_recomputes",
     "replay_windows",
 )
 
@@ -99,10 +98,6 @@ def observe_sharded_stats(registry, stats: Dict[str, object]) -> None:
     ``windows``                      ``repro_shard_windows_total``
     ``rollbacks``                    ``repro_shard_rollbacks_total``
     ``controls``                     ``repro_shard_controls_total``
-    ``speculation.hits``             ``repro_shard_speculation_total{verdict="hit"}``
-    ``speculation.misses``           ``repro_shard_speculation_total{verdict="miss"}``
-    ``unordered_folds``              ``repro_shard_unordered_folds_total``
-    ``ordered_refolds``              ``repro_shard_ordered_refolds_total``
     ``timing.<phase>_seconds``       ``repro_shard_phase_seconds_total{phase=...}``
     ==============================  =====================================
     """
@@ -119,28 +114,10 @@ def observe_sharded_stats(registry, stats: Dict[str, object]) -> None:
         "repro_shard_controls_total",
         "control messages carried by window commits",
     ).inc(stats.get("controls", 0))
-    speculation = stats.get("speculation")
-    if speculation is not None:
-        verdicts = registry.counter(
-            "repro_shard_speculation_total",
-            "speculative window verdicts at commit",
-            labels=("verdict",),
-        )
-        verdicts.labels(verdict="hit").inc(speculation["hits"])
-        verdicts.labels(verdict="miss").inc(speculation["misses"])
-    if "unordered_folds" in stats:
-        registry.counter(
-            "repro_shard_unordered_folds_total",
-            "packs committed in arrival order (proved order-invariant)",
-        ).inc(stats["unordered_folds"])
-        registry.counter(
-            "repro_shard_ordered_refolds_total",
-            "windows rewound and refolded in exact site order",
-        ).inc(stats["ordered_refolds"])
     timing = stats.get("timing") or {}
     phases = registry.counter(
         "repro_shard_phase_seconds_total",
-        "cumulative seconds per sharded pipeline phase",
+        "cumulative seconds per sharded window phase",
         labels=("phase",),
     )
     for key, seconds in timing.items():
@@ -187,8 +164,8 @@ def observe_recovery(registry, worker: int, seconds: float) -> None:
 
 
 def observe_degradation(registry, rung: str) -> None:
-    """Count one rung taken on the graceful-degradation ladder
-    (``lockstep`` or ``columnar``) after recovery was exhausted or
+    """Count one rung taken on the graceful-degradation ladder (the
+    in-process ``columnar`` engine) after recovery was exhausted or
     unavailable."""
     if not registry.enabled:
         return

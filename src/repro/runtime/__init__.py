@@ -65,7 +65,6 @@ def get_engine(
     spec: Union[str, Engine, None] = None,
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
-    pipeline: Optional[str] = None,
     kernels: Optional[str] = None,
     worker_timeout: Optional[float] = None,
     max_worker_restarts: Optional[int] = None,
@@ -85,10 +84,6 @@ def get_engine(
     workers:
         Worker process count for the sharded engine (defaults to all
         CPU cores); rejected for engines that do not shard.
-    pipeline:
-        ``"auto"`` / ``"on"`` / ``"off"`` — the sharded engine's
-        pipelined window protocol; rejected for engines that do not
-        shard.
     kernels:
         ``"auto"`` / ``"numba"`` / ``"numpy"`` — the kernel backend for
         the columnar-plane engines (see :mod:`repro.kernels`); rejected
@@ -114,10 +109,6 @@ def get_engine(
         if workers is not None:
             raise ConfigurationError(
                 "workers cannot be combined with an engine instance"
-            )
-        if pipeline is not None:
-            raise ConfigurationError(
-                "pipeline cannot be combined with an engine instance"
             )
         if kernels is not None:
             raise ConfigurationError(
@@ -155,12 +146,6 @@ def get_engine(
                 f"engine {name!r} does not take workers"
             )
         kwargs["workers"] = workers
-    if pipeline is not None:
-        if not issubclass(cls, ShardedEngine):
-            raise ConfigurationError(
-                f"engine {name!r} does not take a pipeline mode"
-            )
-        kwargs["pipeline"] = pipeline
     if kernels is not None:
         if not issubclass(cls, ColumnarEngine):
             raise ConfigurationError(

@@ -52,7 +52,7 @@ class Engine(ABC):
     registry = NULL_REGISTRY
 
     #: How the last ``run()`` executed — engine name, item count, wall
-    #: seconds; the sharded engine adds its window/rollback/speculation
+    #: seconds; the sharded engine adds its window/rollback/timing
     #: breakdown.  Empty until the first run.
     last_run_stats: Dict[str, object] = {}
 

@@ -158,39 +158,15 @@ class CoordinatorAlgorithm(ABC):
             responses.extend(self.on_message(site_id, message))
         return responses
 
-    def on_message_pack_unordered(self, site_id: int, pack: "MessagePack") -> bool:
-        """Try to fold a pack *out of (batch, site) order*; return
-        whether it was committed.
-
-        The pipelined sharded engine folds each window's packs in
-        arrival order when that is provably equivalent to the fixed
-        ascending-site order every other engine uses.  A coordinator
-        may commit a pack here only when the commit is (a) free of
-        responses and (b) invariant to its position within the current
-        fold window — for the SWOR coordinator that means regular-only
-        packs whose merge neither crosses an epoch bracket nor lands on
-        an ambiguous selection tie (see
-        :meth:`repro.core.coordinator.SworCoordinator.on_message_pack_unordered`).
-        Returning ``False`` (this default) declines: the engine keeps
-        the pack for the exact ordered fold.
-
-        Callers must account the pack (``record_upstream_pack``) iff
-        this returns ``True``, and must be prepared to rewind via
-        :meth:`snapshot_state`/:meth:`restore_state` if a later ordered
-        fold of the same window emits responses.
-        """
-        return False
-
     def snapshot_state(self):
         """Return a cheap opaque snapshot of ALL mutable coordinator
         state, or ``None`` (the default) for "unsupported".
 
-        The pipelined sharded engine snapshots the coordinator at each
-        window boundary so out-of-order pack folds
-        (:meth:`on_message_pack_unordered`) can be rolled back and
-        replayed in exact order when a response fires mid-window.
-        Coordinators that return ``None`` simply run with ordered folds
-        only — still correct, just without the overlap.
+        The sharded engine snapshots the coordinator at each window
+        boundary so a window whose fold a worker fault interrupted can
+        be rewound and retried in exact order.  Coordinators that
+        return ``None`` still run sharded; a fault after a partial fold
+        then takes the degradation ladder instead of in-place recovery.
         """
         return None
 

@@ -40,7 +40,7 @@ coordinator runs *in the parent*, consuming its own RNG in fold order.
 The one genuinely new piece is control flow: the columnar engine
 delivers a mid-window broadcast to the *later* sites of the same
 window before they compute, while shard workers compute a whole window
-speculatively against the control state of the previous window.  The
+optimistically against the control state of the previous window.  The
 engine therefore runs a **lockstep window protocol** with rollback:
 
 1. workers compute window ``t``'s packs against the control state as of
@@ -66,52 +66,9 @@ bit for bit at every batch size and worker count —
 ``benchmarks/bench_sharded.py`` pins this at the multi-million-item
 scale.
 
-Beyond lockstep: the pipelined mode
------------------------------------
-Strict lockstep leaves every worker idle while the parent folds and
-the parent idle while workers compute.  With ``pipeline="on"`` (the
-``"auto"`` default) the same window protocol runs *pipelined*, three
-mechanisms deep, all bit-parity-preserving:
-
-1. **Speculative windows** — after shipping window ``t``'s packs a
-   worker immediately snapshots and computes window ``t + 1`` under the
-   assumption that window ``t`` folds without a broadcast.  The commit
-   message carries the window's control list; the worker answers with
-   an explicit ``ack`` verdict: *hit* (no control touched this shard —
-   the speculative packs already sitting in the parent's inbox are
-   final) or *miss* (the speculation is discarded by restoring its
-   pre-window snapshot, controls are applied, and ``t + 1`` is
-   recomputed).  Rolls discard the speculation the same way and block
-   re-speculation until commit, preserving the fast-roll invariant
-   that prefix sites keep their state.  Pipe FIFO ordering makes the
-   verdict unambiguous: on a hit the final ``res(t+1)`` preceded the
-   ack; on a miss it follows it.
-2. **Double-buffered rings** — each per-worker shared-memory ring is
-   split into two slots; window ``t`` encodes into slot ``t % 2``
-   (:meth:`~repro.net.messages.MessagePack.write_into`), so a worker
-   writes ``t + 1`` (and, after commit of ``t``, ``t + 2``) while the
-   parent still holds zero-copy views into ``t``'s slot.  A slot is
-   rewritten only for data the parent has already consumed (folded
-   prefixes) or discarded (rolled/missed speculation).
-3. **Async coordinator folds** — within a window the parent folds
-   packs in *arrival* order when the coordinator proves the fold
-   order-invariant
-   (:meth:`~repro.runtime.interfaces.CoordinatorAlgorithm.on_message_pack_unordered`:
-   regular-only packs, no epoch crossing, no selection tie), so fold
-   work overlaps the still-computing workers.  The coordinator and
-   counters are snapshotted at the window start; if an ordered fold of
-   the window's remainder then emits a response (whose broadcast point
-   depends on fold order), the parent rewinds and refolds the whole
-   window in exact ascending-site order — nothing was delivered
-   downstream before the rewind, so the replay is exact.  The
-   threshold ``u`` is monotone along every fold order, hence an epoch
-   crossing can never be silently skipped: the fold that would cross
-   either declines the unordered path or triggers the rewind.
-
-``last_run_stats`` records speculation hits/misses, rollback and
-refold counts, and a per-window timing breakdown (worker compute,
-transport wait, parent fold); ``repro ... --profile --engine sharded``
-prints it.
+``last_run_stats`` records rollback and control counts and a per-window
+timing breakdown (worker compute, transport wait, parent fold);
+``repro ... --profile --engine sharded`` prints it.
 
 Fault tolerance: supervision, recovery, and the degradation ladder
 ------------------------------------------------------------------
@@ -120,29 +77,28 @@ default): deadline-bounded waits classify silence as a **hang**, a
 dead pipe or process exit as a **crash**, and a descriptor rejected by
 the wire validation in :mod:`repro.net.messages` as **poison** — while
 a worker that ships its own traceback stays fail-stop
-(:class:`ShardedWorkerError`, ``fault_class="error"``), since replaying
-a deterministic user-code exception would just raise it again.  In
-lockstep mode a classified fault triggers **deterministic
-window-boundary recovery**: the dead shard's worker is reaped and
-respawned on the same pool slot (bounded retries, capped backoff), its
-run-start site states are re-shipped and fast-forwarded through the
-committed control history (bit-identical replay — same RNG positions),
-survivors rewind the in-flight window to their pre-window snapshots,
-the parent's coordinator/counters rewind to the window-start snapshot,
-and the window retries.  A recovered run's samples **and** message
-counters are bit-identical to a fault-free one.  When recovery is
-exhausted (``max_worker_restarts``) or structurally unavailable
-(pipelined speculation in flight, a mid-commit fault, a coordinator
-that cannot rewind), the run takes the **degradation ladder** —
-pipelined -> lockstep -> in-process columnar — restoring the run-start
-network checkpoint between rungs; ``last_run_stats`` records the
-fault log, restart count, recovery seconds, and the rung taken
-(``mode="degraded"`` at the bottom).  The chaos seams threaded through
-the worker loops (:mod:`repro.faults`) inject crashes, hangs, drops,
-corrupt/truncated packs, stalled acks, and respawn failures
-deterministically; ``tests/test_chaos.py`` drives them across the
-whole grid and asserts bit-identity or explicit degradation — never a
-hang, leaked process, or leaked shared-memory segment.
+(:class:`ShardedWorkerError`, ``fault_class="error"``), since
+replaying a deterministic user-code exception would just raise it
+again.  A classified fault triggers **deterministic window-boundary
+recovery**: the dead shard's worker is reaped and respawned on the
+same pool slot (bounded retries, capped backoff), its run-start site
+states are re-shipped and fast-forwarded through the committed control
+history (bit-identical replay — same RNG positions), survivors rewind
+the in-flight window to their pre-window snapshots, the parent's
+coordinator/counters rewind to the window-start snapshot, and the
+window retries.  A recovered run's samples **and** message counters
+are bit-identical to a fault-free one.  When recovery is exhausted
+(``max_worker_restarts``) or structurally unavailable (a mid-commit
+fault, a coordinator that cannot rewind), the run takes the
+**degradation ladder** down to the in-process columnar engine,
+restoring the run-start network checkpoint first; ``last_run_stats``
+records the fault log, restart count, recovery seconds, and the rung
+taken (``mode="degraded"``).  The chaos seams threaded through the
+worker loop (:mod:`repro.faults`) inject crashes, hangs, drops,
+corrupt/truncated packs, and respawn failures deterministically;
+``tests/test_chaos.py`` drives them across the whole grid and asserts
+bit-identity or explicit degradation — never a hang, leaked process,
+or leaked shared-memory segment.
 
 Fallbacks: numpy-free installs, non-int64 ident streams, ``workers=1``
 (or one site), instrumented networks (a
@@ -403,15 +359,9 @@ def _view_from_full_shm(name, spec, site_lo, site_hi):
 
 
 class _WorkerShard:
-    """Worker-side state for one run: sites, stream view, ring cursor.
+    """Worker-side state for one run: sites, stream view, ring cursor."""
 
-    The ring is divided into equal slots (two in pipelined mode, one
-    in lockstep); each window encodes into slot ``t % 2`` so writes
-    for a speculative window never touch the slot the parent is still
-    reading.
-    """
-
-    def __init__(self, payload, ring, slot_bytes, stream_cache) -> None:
+    def __init__(self, payload, ring, ring_bytes, stream_cache) -> None:
         set_default_kernels(payload.get("kernels", "auto"), strict=False)
         self.site_lo: int = payload["site_lo"]
         self.site_hi: int = payload["site_hi"]
@@ -437,10 +387,9 @@ class _WorkerShard:
             stream_cache["view"] = view
             self.view = view
         self.ring = ring
-        self.slot_bytes = slot_bytes
         self.ring_view = memoryview(ring.buf) if ring is not None else None
         self.ring_off = 0
-        self.ring_limit = slot_bytes
+        self.ring_limit = ring_bytes
         self.windows = list(
             batch_windows(
                 payload["n"],
@@ -469,6 +418,9 @@ class _WorkerShard:
         #: without shipping anything, then rejoin the live protocol.
         self.resume: int = payload.get("resume", 0)
         self.history: List[list] = payload.get("history") or []
+        #: Seconds of window compute since the last result send (the
+        #: recovery replay is not counted).
+        self.compute_seconds = 0.0
 
     def drain_metrics(self):
         """Return-and-reset the accumulated telemetry as the flat
@@ -488,7 +440,6 @@ class _WorkerShard:
         lo: int,
         hi: int,
         min_site: Optional[int] = None,
-        slot: int = 0,
         encode: bool = True,
     ):
         """Run the shard's site passes for global window ``[lo, hi)``.
@@ -503,20 +454,17 @@ class _WorkerShard:
         ``min_site`` restricts the pass to sites with a *larger* id —
         the rollback suffix.  Pack contents are also invariant to the
         shared-prep shortcut, so the suffix pass simply skips it.
-        ``slot`` selects which ring slot the window's packs encode
-        into (always 0 in lockstep mode).  ``encode=False`` runs the
-        pass purely for its state effects (RNG advances, per-site
-        accounting) without serializing anything — the recovery replay
-        of already-committed windows.
+        ``encode=False`` runs the pass purely for its state effects
+        (RNG advances, per-site accounting) without serializing
+        anything — the recovery replay of already-committed windows.
         """
         i0, i1 = self.view.window_bounds(lo, hi)
         if i0 == i1:
             return []
+        t_start = time.perf_counter()
         metrics = self.metrics
-        if metrics is not None:
-            t_start = time.perf_counter()
-            if min_site is None:
-                metrics["windows" if encode else "replay_windows"] += 1
+        if metrics is not None and min_site is None:
+            metrics["windows" if encode else "replay_windows"] += 1
         site_ids, starts, ends, idents_sorted, weights_sorted = (
             self.view.window_order(i0, i1)
         )
@@ -534,8 +482,7 @@ class _WorkerShard:
             )
             if share_prep:
                 window_prep = site0.prepare_window(weights_sorted)
-        self.ring_off = slot * self.slot_bytes
-        self.ring_limit = self.ring_off + self.slot_bytes
+        self.ring_off = 0
         out = []
         for site_id, start, end in zip(site_ids, starts, ends):
             if min_site is not None and site_id <= min_site:
@@ -554,8 +501,11 @@ class _WorkerShard:
             descriptor = self._encode(site_id, result)
             if descriptor is not None:
                 out.append(descriptor)
+        elapsed = time.perf_counter() - t_start
+        if encode:
+            self.compute_seconds += elapsed
         if metrics is not None:
-            metrics["compute_seconds"] += time.perf_counter() - t_start
+            metrics["compute_seconds"] += elapsed
         return out
 
     def _encode(self, site_id: int, result):
@@ -638,14 +588,14 @@ def _apply_commit(shard: _WorkerShard, applied, controls) -> None:
 
 
 def _apply_roll(
-    shard: _WorkerShard, lo, hi, snapshot, applied, from_site, controls, slot=0
+    shard: _WorkerShard, lo, hi, snapshot, applied, from_site, controls
 ):
     """Serve one rollback for window ``[lo, hi)``; return replacement
     descriptors for the invalidated suffix (sites after ``from_site``).
 
-    Shared by the lockstep and pipelined worker loops; ``snapshot`` and
-    ``applied`` are the window's pre-compute state and per-site control
-    cursor, mutated in place across repeated rolls of the same window.
+    ``snapshot`` and ``applied`` are the window's pre-compute state and
+    per-site control cursor, mutated in place across repeated rolls of
+    the same window.
     """
     if shard.metrics is not None:
         shard.metrics["rolls_served"] += 1
@@ -676,7 +626,7 @@ def _apply_roll(
                 if dest == BROADCAST or dest == site_id:
                     site.on_control(ctrl)
             applied[idx] = len(controls)
-        return shard.compute_window(lo, hi, min_site=from_site, slot=slot)
+        return shard.compute_window(lo, hi, min_site=from_site)
     # Pickled snapshot: the site list is restored wholesale, so the
     # prefix must be replayed too (deterministically identical) and
     # its packs dropped from the resend.
@@ -688,7 +638,7 @@ def _apply_roll(
             if dest == BROADCAST or dest == site_id:
                 site.on_control(ctrl)
         applied[idx] = n_pre
-    results = shard.compute_window(lo, hi, slot=slot)
+    results = shard.compute_window(lo, hi)
     return [d for d in results if d[0] > from_site]
 
 
@@ -733,10 +683,12 @@ def _replay_history(shard: _WorkerShard) -> None:
 
 
 def _send_results(shard: _WorkerShard, conn, t: int, results) -> None:
-    """Ship one lockstep window's descriptors, through the chaos seams:
-    a planned wire fault mangles the descriptors; a planned process
-    fault kills/hangs/drops instead of sending.  With no plan (every
-    production run) this is exactly the plain send."""
+    """Ship one window's descriptors and the compute seconds behind
+    them, through the chaos seams: a planned wire fault mangles the
+    descriptors; a planned process fault kills/hangs/drops instead of
+    sending.  With no plan (every production run) this is exactly the
+    plain send."""
+    seconds, shard.compute_seconds = shard.compute_seconds, 0.0
     if shard.faults:
         wire = fault_action(shard.faults, t, ("corrupt", "truncate"))
         if wire is not None:
@@ -749,15 +701,15 @@ def _send_results(shard: _WorkerShard, conn, t: int, results) -> None:
         elif action == "drop":
             return
     if shard.metrics is None:
-        conn.send(("res", results))
+        conn.send(("res", results, seconds))
     else:
-        conn.send(("res", results, shard.drain_metrics()))
+        conn.send(("res", results, seconds, shard.drain_metrics()))
 
 
 def _worker_run(shard: _WorkerShard, conn) -> None:
-    """The lockstep window protocol, worker side, for one run.
+    """The window protocol, worker side, for one run.
 
-    Per window: compute speculatively against last-committed control
+    Per window: compute optimistically against last-committed control
     state, send, then serve ``roll`` (restore the pre-window snapshot,
     re-apply each control message to exactly the sites after its
     trigger, recompute, resend the suffix) until the parent ``com``mits
@@ -824,166 +776,6 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
     _send_state(shard, conn)
 
 
-class _SpecWindow:
-    """Worker-side record of one in-flight (sent, uncommitted) window."""
-
-    __slots__ = ("t", "lo", "hi", "snapshot", "applied", "rolled")
-
-    def __init__(self, t, lo, hi, snapshot, num_sites) -> None:
-        self.t = t
-        self.lo = lo
-        self.hi = hi
-        self.snapshot = snapshot
-        self.applied = [0] * num_sites
-        self.rolled = False
-
-
-def _worker_run_pipelined(shard: _WorkerShard, conn) -> None:
-    """The pipelined window protocol, worker side, for one run.
-
-    Up to two windows are in flight: the *head* (oldest, awaiting the
-    parent's verdict) and one *speculative* window computed under the
-    assumption that the head commits without controls touching this
-    shard.  Message grammar (worker side):
-
-    * send ``("res", t, descriptors, compute_seconds)`` after each
-      window compute (first sends and speculative recomputes alike);
-    * on ``("roll", t, from_site, controls)``: discard the speculation
-      (restore its pre-window snapshot — it was computed from a now
-      invalid state), mark the head rolled (re-speculation would break
-      the fast roll's prefix-keeps-state invariant), replay/recompute
-      via :func:`_apply_roll`, send ``("rep", t, replacements)``;
-    * on ``("com", t, controls)``: pop the head and answer
-      ``("ack", t, hit)`` — *hit* iff the head was never rolled and no
-      unseen control targets this shard, i.e. the speculation is
-      valid.  On a miss the speculation is discarded, the controls are
-      applied, and the fill loop recomputes the next window fresh.
-
-    The pipe is FIFO both ways, so the parent can order the ack
-    against the speculative ``res``: on a hit the buffered ``res`` is
-    final; on a miss the fresh one follows the ack.
-    """
-    windows = shard.windows
-    total = len(windows)
-    num_sites = len(shard.sites)
-    entries: List[_SpecWindow] = []
-    nxt = 0
-    while entries or nxt < total:
-        while (
-            nxt < total
-            and len(entries) < 2
-            and not (entries and entries[0].rolled)
-        ):
-            lo, hi = windows[nxt]
-            i0, i1 = shard.view.window_bounds(lo, hi)
-            snapshot = _snapshot_sites(shard.sites) if i0 != i1 else None
-            if snapshot is not None and shard.metrics is not None:
-                shard.metrics["snapshots"] += 1
-            t0 = time.perf_counter()
-            results = shard.compute_window(lo, hi, slot=nxt % 2)
-            elapsed = time.perf_counter() - t0
-            dropped = False
-            if shard.faults:
-                wire = fault_action(shard.faults, nxt, ("corrupt", "truncate"))
-                if wire is not None:
-                    results = corrupt_descriptors(list(results), wire)
-                action = fault_action(
-                    shard.faults, nxt, ("kill", "hang", "drop")
-                )
-                if action == "kill":
-                    chaos_exit()
-                elif action == "hang":
-                    block_forever()
-                elif action == "drop":
-                    dropped = True
-            if not dropped:
-                if shard.metrics is None:
-                    conn.send(("res", nxt, results, elapsed))
-                else:
-                    conn.send(
-                        ("res", nxt, results, elapsed, shard.drain_metrics())
-                    )
-            entries.append(_SpecWindow(nxt, lo, hi, snapshot, num_sites))
-            nxt += 1
-        message = conn.recv()
-        tag = message[0]
-        if tag == "com":
-            controls = message[2]
-            head = entries.pop(0)
-            miss = head.rolled
-            if not miss and controls:
-                for idx in range(num_sites):
-                    site_id = shard.site_lo + idx
-                    for _, dest, _ctrl in controls[head.applied[idx] :]:
-                        if dest == BROADCAST or dest == site_id:
-                            miss = True
-                            break
-                    if miss:
-                        break
-            if shard.faults and fault_action(
-                shard.faults, head.t, ("stall_ack",)
-            ):
-                block_forever()
-            conn.send(("ack", head.t, not miss))
-            if miss:
-                if entries:
-                    # The speculation ran from pre-control state:
-                    # rewind to its own pre-window snapshot (= the
-                    # committed window's end state) and recompute.
-                    spec = entries.pop(0)
-                    if spec.snapshot is not None:
-                        _restore_sites(shard, spec.snapshot)
-                    nxt = spec.t
-                    if shard.metrics is not None:
-                        shard.metrics["spec_recomputes"] += 1
-                _apply_commit(shard, head.applied, controls)
-        elif tag == "roll":
-            from_site, controls = message[2], message[3]
-            head = entries[0]
-            if len(entries) > 1:
-                spec = entries.pop()
-                if spec.snapshot is not None:
-                    _restore_sites(shard, spec.snapshot)
-                nxt = spec.t
-                if shard.metrics is not None:
-                    shard.metrics["spec_recomputes"] += 1
-            head.rolled = True
-            replacements = _apply_roll(
-                shard,
-                head.lo,
-                head.hi,
-                head.snapshot,
-                head.applied,
-                from_site,
-                controls,
-                slot=head.t % 2,
-            )
-            if shard.faults:
-                wire = fault_action(
-                    shard.faults, head.t, ("corrupt", "truncate")
-                )
-                if wire is not None:
-                    replacements = corrupt_descriptors(
-                        list(replacements), wire
-                    )
-            if shard.metrics is None:
-                conn.send(("rep", head.t, replacements))
-            else:
-                conn.send(
-                    ("rep", head.t, replacements, shard.drain_metrics())
-                )
-        else:
-            raise ProtocolViolationError(
-                f"shard worker got unexpected command {tag!r}"
-            )
-    message = conn.recv()
-    if message[0] != "fin":
-        raise ProtocolViolationError(
-            f"shard worker got unexpected command {message[0]!r} at run end"
-        )
-    _send_state(shard, conn)
-
-
 def _worker_main(boot, conn) -> None:
     """Process entry point: serve runs until told to go (or cut off).
 
@@ -994,10 +786,10 @@ def _worker_main(boot, conn) -> None:
     ring = None
     try:
         ring_spec = boot["ring"]
-        slot_bytes = 0
+        ring_bytes = 0
         if ring_spec is not None:
             ring = _attach_shm(ring_spec[0])
-            slot_bytes = ring_spec[1]
+            ring_bytes = ring_spec[1]
         stream_cache: dict = {}
         conn.send(("rdy",))
         while True:
@@ -1008,12 +800,9 @@ def _worker_main(boot, conn) -> None:
                 raise ProtocolViolationError(
                     f"shard worker got unexpected command {command[0]!r}"
                 )
-            shard = _WorkerShard(command[1], ring, slot_bytes, stream_cache)
+            shard = _WorkerShard(command[1], ring, ring_bytes, stream_cache)
             try:
-                if command[1].get("pipeline"):
-                    _worker_run_pipelined(shard, conn)
-                else:
-                    _worker_run(shard, conn)
+                _worker_run(shard, conn)
             finally:
                 shard.close()
     except (EOFError, OSError, KeyboardInterrupt):
@@ -1052,27 +841,6 @@ class _WorkerHandle:
         self.site_lo = 0  # set per run
         self.site_hi = 0
         self.ring = ring
-
-
-class _Inbox:
-    """Parent-side message cursor for one worker in pipelined mode.
-
-    The pipe is FIFO, so filing each message by tag is enough to
-    resolve speculation: window ``u``'s descriptors are *final* once
-    ``res[u]`` is present AND the previous window's ack verdict has
-    been seen — an ack miss discards the stale speculative ``res``
-    (the worker's recompute follows the ack in the pipe).
-    """
-
-    __slots__ = ("handle", "res", "secs", "acks", "reps", "deltas")
-
-    def __init__(self, handle: _WorkerHandle) -> None:
-        self.handle = handle
-        self.res: dict = {}  # window -> descriptors (latest send)
-        self.secs: dict = {}  # window -> worker compute seconds
-        self.acks: dict = {}  # window -> speculation hit?
-        self.reps: dict = {}  # window -> rollback replacements
-        self.deltas: list = []  # telemetry columns, merged at commit
 
 
 def _unlink_segments(shms) -> None:
@@ -1199,7 +967,7 @@ def _restore_network(network, checkpoint) -> None:
 
 
 class _WindowAttempt:
-    """Parent-side fold progress for one supervised lockstep window.
+    """Parent-side fold progress for one supervised window.
 
     A post-fault retry refolds the window from its start; the refold is
     bit-identical to the faulted attempt (same restored coordinator,
@@ -1281,7 +1049,7 @@ class WorkerSupervisor:
                 self.registry, worker, now - self.last_seen[worker]
             )
 
-    def record_fault(self, fault, window, retire_all=False) -> None:
+    def record_fault(self, fault, window) -> None:
         self.fault_log.append(
             {
                 "worker": fault.handle.index,
@@ -1291,9 +1059,7 @@ class WorkerSupervisor:
             }
         )
         if self.plan is not None:
-            self.plan.mark_fired(
-                fault.handle.index, None if retire_all else window
-            )
+            self.plan.mark_fired(fault.handle.index, window)
         observe_fault(self.registry, fault.fault_class)
 
     def wire_faults(self, worker: int):
@@ -1325,12 +1091,6 @@ class ShardedEngine(ColumnarEngine):
         ``"shm"``, or ``"pipe"`` — how stream shards and result columns
         move between processes.  Pipes are the portable fallback;
         shared memory gives the parent zero-copy column views.
-    pipeline:
-        ``"auto"`` (pipelined — the default), ``"on"``, or ``"off"``
-        (strict lockstep).  Pipelined runs overlap worker compute with
-        parent folds via speculative windows, double-buffered rings,
-        and arrival-order coordinator folds (see the module docstring);
-        both modes are bit-identical to the columnar engine.
     worker_timeout:
         Supervision deadline in seconds: how long a worker may stay
         silent while the parent waits on it before the supervisor
@@ -1338,7 +1098,7 @@ class ShardedEngine(ColumnarEngine):
     max_worker_restarts:
         In-place window-boundary recoveries allowed per run before the
         supervisor stops respawning and takes the degradation ladder
-        instead (pipelined -> lockstep -> in-process columnar).
+        down to the in-process columnar engine instead.
     fault_plan:
         Chaos injection (testing only): a :class:`~repro.faults.FaultPlan`
         or its ``"kind:worker:window,..."`` string form.  Cloned per
@@ -1357,7 +1117,6 @@ class ShardedEngine(ColumnarEngine):
         initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
         workers: Optional[int] = None,
         transport: str = "auto",
-        pipeline: str = "auto",
         kernels=None,
         worker_timeout: Optional[float] = None,
         max_worker_restarts: int = 2,
@@ -1376,10 +1135,6 @@ class ShardedEngine(ColumnarEngine):
         if transport not in ("auto", "shm", "pipe"):
             raise ConfigurationError(
                 f"transport must be 'auto', 'shm', or 'pipe', got {transport!r}"
-            )
-        if pipeline not in ("auto", "on", "off"):
-            raise ConfigurationError(
-                f"pipeline must be 'auto', 'on', or 'off', got {pipeline!r}"
             )
         if worker_timeout is None:
             worker_timeout = _DEFAULT_WORKER_TIMEOUT
@@ -1404,15 +1159,13 @@ class ShardedEngine(ColumnarEngine):
             )
         self.workers = int(workers)
         self.transport = transport
-        self.pipeline = pipeline
         self.worker_timeout = float(worker_timeout)
         self.max_worker_restarts = int(max_worker_restarts)
         self.fault_plan = fault_plan
         self.supervision = supervision
-        self._pipelined = pipeline != "off"
         #: Observability: how the last ``run`` executed (mode, effective
-        #: transport, window/rollback/speculation counts, per-window
-        #: timing, warm-pool reuse).
+        #: transport, window/rollback counts, per-window timing,
+        #: warm-pool reuse).
         self.last_run_stats: dict = {}
         self._pool = None
         self._finalizer = None
@@ -1420,8 +1173,7 @@ class ShardedEngine(ColumnarEngine):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedEngine(batch_size={self.batch_size}, "
-            f"workers={self.workers}, transport={self.transport!r}, "
-            f"pipeline={self.pipeline!r})"
+            f"workers={self.workers}, transport={self.transport!r})"
         )
 
     def close(self) -> None:
@@ -1537,92 +1289,49 @@ class ShardedEngine(ColumnarEngine):
                 checkpoints=checkpoints,
                 on_checkpoint=on_checkpoint,
             )
-        pipelined = self._pipelined
-        degraded: List[str] = []
         try:
-            while True:
-                try:
-                    run_windows = (
-                        self._run_windows_pipelined
-                        if pipelined
-                        else self._run_windows
-                    )
-                    counters = run_windows(
-                        network,
-                        pool,
-                        n,
-                        marks,
-                        set(marks),
-                        on_step,
-                        on_checkpoint,
-                        supervisor,
-                    )
-                    break
-                except (_WorkerFault, _LadderFault) as exc:
-                    fault = exc.fault if isinstance(exc, _LadderFault) else exc
-                    if supervisor is not None and isinstance(
-                        exc, _WorkerFault
-                    ):
-                        # Ladder faults were logged where they were
-                        # classified; bare faults get logged here.  In
-                        # pipelined mode the worker speculates one
-                        # window ahead of the fold the fault surfaced
-                        # in, so the whole plan entry set for this
-                        # worker is retired, not just a window prefix.
-                        supervisor.record_fault(
-                            fault, fault.window, retire_all=True
-                        )
-                    if supervisor is None or supervisor.checkpoint is None:
-                        _reap_handle(fault.handle)
-                        self.close()
-                        raise fault.to_error() from None
-                    # Degradation ladder: reap + tear down, restore the
-                    # run-start checkpoint, rerun on the next rung.
-                    _reap_handle(fault.handle)
-                    self.close()
-                    pool = None
-                    _restore_network(network, supervisor.checkpoint)
-                    rung = "lockstep" if pipelined else "columnar"
-                    pipelined = False
-                    degraded.append(rung)
-                    observe_degradation(self.registry, rung)
-                    if rung == "lockstep":
-                        try:
-                            pool, warm = self._get_pool(workers)
-                            self._dispatch_run(
-                                pool,
-                                network,
-                                arrays,
-                                n,
-                                marks,
-                                pipelined=False,
-                                supervisor=supervisor,
-                            )
-                            continue
-                        except Exception:
-                            self.close()
-                            pool = None
-                            rung = "columnar"
-                            degraded.append(rung)
-                            observe_degradation(self.registry, rung)
-                    # Bottom rung: the in-process columnar engine.
-                    self.last_run_stats = {
-                        "mode": "degraded",
-                        "reason": (
-                            f"fault recovery exhausted "
-                            f"({fault.fault_class}: {fault.detail})"
-                        ),
-                        "rung": "columnar",
-                    }
-                    counters = ColumnarEngine.run(
-                        self,
-                        network,
-                        stream,
-                        on_step=on_step,
-                        checkpoints=checkpoints,
-                        on_checkpoint=on_checkpoint,
-                    )
-                    break
+            try:
+                counters = self._run_windows(
+                    network,
+                    pool,
+                    n,
+                    marks,
+                    set(marks),
+                    on_step,
+                    on_checkpoint,
+                    supervisor,
+                )
+            except (_WorkerFault, _LadderFault) as exc:
+                fault = exc.fault if isinstance(exc, _LadderFault) else exc
+                if supervisor is not None and isinstance(exc, _WorkerFault):
+                    # Ladder faults were logged where they were
+                    # classified; bare faults get logged here.
+                    supervisor.record_fault(fault, fault.window)
+                _reap_handle(fault.handle)
+                self.close()
+                if supervisor is None or supervisor.checkpoint is None:
+                    raise fault.to_error() from None
+                # Degradation ladder: restore the run-start checkpoint
+                # and rerun in-process on the columnar engine.
+                _restore_network(network, supervisor.checkpoint)
+                observe_degradation(self.registry, "columnar")
+                self.last_run_stats = {
+                    "mode": "degraded",
+                    "reason": (
+                        f"fault recovery exhausted "
+                        f"({fault.fault_class}: {fault.detail})"
+                    ),
+                    "rung": "columnar",
+                    "degraded_to": "columnar",
+                }
+                counters = ColumnarEngine.run(
+                    self,
+                    network,
+                    stream,
+                    on_step=on_step,
+                    checkpoints=checkpoints,
+                    on_checkpoint=on_checkpoint,
+                )
             stats = self.last_run_stats
             if stats.get("mode") == "sharded":
                 stats["warm_pool"] = warm
@@ -1639,11 +1348,6 @@ class ShardedEngine(ColumnarEngine):
                     stats["faults"] = supervisor.fault_log
                     stats["worker_restarts"] = supervisor.restarts
                     stats["recovery_seconds"] = supervisor.recovery_seconds
-                if degraded:
-                    stats["degraded_to"] = degraded[-1]
-                    stats["degraded_from"] = (
-                        "pipelined" if self._pipelined else "lockstep"
-                    )
             if self.registry.enabled and stats.get("mode") == "sharded":
                 self._export_run(
                     network, n, seconds, windows=stats.get("windows")
@@ -1683,18 +1387,14 @@ class ShardedEngine(ColumnarEngine):
         if self.transport == "shm" and _shared_memory is None:
             raise ConfigurationError("shared memory is unavailable")
         ctx = get_context("spawn")
-        slot_bytes = max(_MIN_RING_BYTES, 48 * self.batch_size + 4096)
-        # Pipelined transport double-buffers: two slots per ring so a
-        # worker writes window t+1 while the parent still reads t.
-        slots = 2 if self._pipelined else 1
+        ring_bytes = max(_MIN_RING_BYTES, 48 * self.batch_size + 4096)
         pool = {
             "workers": workers,
             "handles": [],
             "rings": [],
             "transport": "shm" if use_shm else "pipe",
             "use_shm": use_shm,
-            "slots": slots,
-            "slot_bytes": slot_bytes,
+            "ring_bytes": ring_bytes,
             "closed": False,
         }
         try:
@@ -1703,10 +1403,10 @@ class ShardedEngine(ColumnarEngine):
                 ring_spec = None
                 if use_shm:
                     ring = _shared_memory.SharedMemory(
-                        create=True, size=slot_bytes * slots
+                        create=True, size=ring_bytes
                     )
                     pool["rings"].append(ring)
-                    ring_spec = (ring.name, slot_bytes)
+                    ring_spec = (ring.name, ring_bytes)
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_worker_main,
@@ -1737,7 +1437,7 @@ class ShardedEngine(ColumnarEngine):
         return pool
 
     def _dispatch_run(
-        self, pool, network, arrays, n, marks, pipelined=None, supervisor=None
+        self, pool, network, arrays, n, marks, supervisor=None
     ) -> None:
         """Ship each worker its shard for this run: site states, the
         stream columns, and the window schedule.
@@ -1753,8 +1453,6 @@ class ShardedEngine(ColumnarEngine):
         """
         from ..stream.columns import ShardSliceView
 
-        if pipelined is None:
-            pipelined = self._pipelined
         assignment, weights, idents = arrays
         num_sites = network.num_sites
         workers = pool["workers"]
@@ -1794,7 +1492,6 @@ class ShardedEngine(ColumnarEngine):
             "n": n,
             "marks": marks,
             "metrics": bool(self.registry.enabled),
-            "pipelined": pipelined,
         }
         for handle in pool["handles"]:
             handle.site_lo, handle.site_hi = ShardSliceView.shard_range(
@@ -1824,7 +1521,6 @@ class ShardedEngine(ColumnarEngine):
                 "initial_batch_size": self.initial_batch_size,
                 "marks": marks,
                 "stream": stream_spec,
-                "pipeline": pipelined,
                 # The parent's resolved kernel backend by name; workers
                 # re-resolve with strict=False so a backend the worker
                 # interpreter cannot import degrades to auto, not a
@@ -1845,7 +1541,7 @@ class ShardedEngine(ColumnarEngine):
             self._send(handle, ("run", payload))
 
 
-    # -- the lockstep fold ---------------------------------------------
+    # -- the window fold -----------------------------------------------
 
     def _run_windows(
         self,
@@ -1864,6 +1560,7 @@ class ShardedEngine(ColumnarEngine):
         )
         rollbacks = 0
         controls_total = 0
+        compute_total = 0.0
         wait_total = 0.0
         fold_total = 0.0
         per_window = []
@@ -1891,13 +1588,13 @@ class ShardedEngine(ColumnarEngine):
             try:
                 t0 = time.perf_counter()
                 pending = {}
+                compute = [0.0] * len(handles)
                 worker_deltas = []
                 for handle in handles:
-                    message = self._recv(handle, supervisor, t_idx)
-                    for descriptor in message[1]:
-                        pending[descriptor[0]] = (handle, descriptor)
-                    if len(message) > 2 and message[2]:
-                        worker_deltas.append((handle.index, message[2]))
+                    self._collect(
+                        handle, supervisor, t_idx, pending, compute,
+                        worker_deltas,
+                    )
                 t1 = time.perf_counter()
                 controls: List[Tuple[int, int, object]] = []
                 order = sorted(pending)
@@ -1934,13 +1631,10 @@ class ShardedEngine(ColumnarEngine):
                             for stale in [s for s in pending if s > site_id]:
                                 del pending[stale]
                             for h in affected:
-                                message = self._recv(h, supervisor, t_idx)
-                                for descriptor in message[1]:
-                                    pending[descriptor[0]] = (h, descriptor)
-                                if len(message) > 2 and message[2]:
-                                    worker_deltas.append(
-                                        (h.index, message[2])
-                                    )
+                                self._collect(
+                                    h, supervisor, t_idx, pending, compute,
+                                    worker_deltas,
+                                )
                             order = order[: i + 1] + sorted(
                                 s for s in pending if s > site_id
                             )
@@ -1970,11 +1664,16 @@ class ShardedEngine(ColumnarEngine):
             rollbacks += attempt_rollbacks
             controls_total += len(controls)
             history.append(controls)
+            # Workers compute in parallel: the window's compute time is
+            # the slowest worker's (first pass plus roll recomputes).
+            window_compute = max(compute)
+            compute_total += window_compute
             wait_total += t1 - t0
             fold_total += t2 - t1
             per_window.append(
                 {
                     "window": len(per_window),
+                    "worker_compute_seconds": window_compute,
                     "transport_wait_seconds": t1 - t0,
                     "parent_fold_seconds": t2 - t1,
                     "controls": len(controls),
@@ -2006,11 +1705,11 @@ class ShardedEngine(ColumnarEngine):
             "mode": "sharded",
             "workers": pool["workers"],
             "transport": pool["transport"],
-            "pipeline": "off",
             "windows": len(windows),
             "rollbacks": rollbacks,
             "controls": controls_total,
             "timing": {
+                "worker_compute_seconds": compute_total,
                 "transport_wait_seconds": wait_total,
                 "parent_fold_seconds": fold_total,
             },
@@ -2022,7 +1721,20 @@ class ShardedEngine(ColumnarEngine):
         }
         return network.counters
 
-    # -- window-boundary recovery (lockstep, supervised) ---------------
+    def _collect(
+        self, handle, supervisor, t_idx, pending, compute, worker_deltas
+    ) -> None:
+        """Receive one worker's window results: file its descriptors
+        by site, add its compute seconds, and keep its telemetry
+        column for the commit."""
+        message = self._recv(handle, supervisor, t_idx)
+        for descriptor in message[1]:
+            pending[descriptor[0]] = (handle, descriptor)
+        compute[handle.index] += message[2]
+        if len(message) > 3 and message[3]:
+            worker_deltas.append((handle.index, message[3]))
+
+    # -- window-boundary recovery (supervised) -------------------------
 
     def _recover_window(
         self, supervisor, network, pool, t_idx, history, fault, snap, attempt
@@ -2095,7 +1807,7 @@ class ShardedEngine(ColumnarEngine):
                     )
                 ring_spec = None
                 if dead.ring is not None:
-                    ring_spec = (dead.ring.name, pool["slot_bytes"])
+                    ring_spec = (dead.ring.name, pool["ring_bytes"])
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_worker_main,
@@ -2185,7 +1897,6 @@ class ShardedEngine(ColumnarEngine):
             "initial_batch_size": self.initial_batch_size,
             "marks": run["marks"],
             "stream": stream_spec,
-            "pipeline": False,
             "kernels": _active_kernels().name,
             "metrics": run["metrics"],
             "worker": handle.index,
@@ -2195,358 +1906,6 @@ class ShardedEngine(ColumnarEngine):
             "history": list(history),
         }
         self._send(handle, ("run", payload))
-
-    # -- the pipelined fold --------------------------------------------
-
-    def _pump(self, inbox: _Inbox, supervisor=None, window=None) -> None:
-        """Read and file exactly one worker message."""
-        message = self._recv(inbox.handle, supervisor, window)
-        tag = message[0]
-        if tag == "res":
-            inbox.res[message[1]] = message[2]
-            inbox.secs[message[1]] = message[3]
-            if len(message) > 4 and message[4]:
-                # Telemetry from stale speculative sends is kept too:
-                # the discarded compute was real work.
-                inbox.deltas.append(message[4])
-        elif tag == "ack":
-            inbox.acks[message[1]] = message[2]
-            if not message[2]:
-                # Speculation missed: the buffered next-window result
-                # is stale; the worker's recompute follows in the pipe.
-                inbox.res.pop(message[1] + 1, None)
-                inbox.secs.pop(message[1] + 1, None)
-        elif tag == "rep":
-            inbox.reps[message[1]] = message[2]
-            if len(message) > 3 and message[3]:
-                inbox.deltas.append(message[3])
-        else:  # pragma: no cover - protocol bug guard
-            raise ShardedWorkerError(
-                f"shard worker {inbox.handle.index} sent unexpected {tag!r}"
-            )
-
-    def _run_windows_pipelined(
-        self,
-        network,
-        pool,
-        n,
-        marks,
-        mark_set,
-        on_step,
-        on_checkpoint,
-        supervisor=None,
-    ) -> "MessageCounters":
-        handles = pool["handles"]
-        inboxes = [_Inbox(handle) for handle in handles]
-        windows = list(
-            batch_windows(n, self.batch_size, self.initial_batch_size, marks)
-        )
-        # Arrival-order folds need a coordinator that can rewind; one
-        # that cannot (snapshot_state() is None) still pipelines via
-        # speculation and double buffering, with ordered folds only.
-        async_folds = network.coordinator.snapshot_state() is not None
-        st = {
-            "rollbacks": 0,
-            "controls": 0,
-            "spec_hits": 0,
-            "spec_misses": 0,
-            "unordered_folds": 0,
-            "ordered_refolds": 0,
-            "worker_compute_seconds": 0.0,
-            "transport_wait_seconds": 0.0,
-            "parent_fold_seconds": 0.0,
-            "per_window": [],
-        }
-        for u, (lo, hi) in enumerate(windows):
-            controls = self._fold_window_pipelined(
-                u, network, handles, inboxes, async_folds, st, supervisor
-            )
-            st["controls"] += len(controls)
-            for inbox in inboxes:
-                if inbox.deltas:
-                    for deltas in inbox.deltas:
-                        merge_worker_deltas(
-                            self.registry, inbox.handle.index, deltas
-                        )
-                    inbox.deltas.clear()
-            for handle in handles:
-                self._send(handle, ("com", u, controls), u)
-            if supervisor is not None:
-                supervisor.export_heartbeats()
-            network.items_processed += hi - lo
-            t = network.items_processed
-            if on_step is not None:
-                on_step(t)
-            if hi in mark_set:
-                on_checkpoint(t)
-        for handle in handles:
-            self._send(handle, ("fin",))
-        for inbox in inboxes:
-            while True:
-                message = self._recv(inbox.handle, supervisor)
-                if message[0] == "ack":
-                    # The final window's ack: no speculation existed
-                    # behind it (there is no next window to compute).
-                    continue
-                if message[0] != "sta":  # pragma: no cover - bug guard
-                    raise ShardedWorkerError(
-                        f"shard worker {inbox.handle.index} sent "
-                        f"{message[0]!r} instead of final state"
-                    )
-                break
-            for deltas in inbox.deltas:
-                merge_worker_deltas(self.registry, inbox.handle.index, deltas)
-            inbox.deltas.clear()
-            if len(message) > 3 and message[3]:
-                merge_worker_deltas(
-                    self.registry, inbox.handle.index, message[3]
-                )
-            for offset, final in enumerate(pickle.loads(message[2])):
-                _adopt_site_state(network.sites[message[1] + offset], final)
-        self.last_run_stats = {
-            "mode": "sharded",
-            "workers": pool["workers"],
-            "transport": pool["transport"],
-            "pipeline": "on",
-            "async_folds": async_folds,
-            "windows": len(windows),
-            "rollbacks": st["rollbacks"],
-            "controls": st["controls"],
-            "speculation": {
-                "hits": st["spec_hits"],
-                "misses": st["spec_misses"],
-            },
-            "unordered_folds": st["unordered_folds"],
-            "ordered_refolds": st["ordered_refolds"],
-            "timing": {
-                "worker_compute_seconds": st["worker_compute_seconds"],
-                "transport_wait_seconds": st["transport_wait_seconds"],
-                "parent_fold_seconds": st["parent_fold_seconds"],
-            },
-            "per_window": st["per_window"],
-            "shm_segments": [
-                shm.name
-                for shm in pool["rings"] + pool["stream"]["shms"]
-            ],
-        }
-        return network.counters
-
-    def _fold_window_pipelined(
-        self, u, network, handles, inboxes, async_folds, st, supervisor=None
-    ):
-        """Fold window ``u``: collect each worker's final descriptors,
-        folding arrival-order-safe packs as they land, then finish the
-        remainder in exact ascending-site order.  Returns the window's
-        control list (what ``com`` broadcasts to the workers).
-
-        Correctness of the overlap: unordered commits touch only
-        coordinator-internal state and are order-invariant by the
-        coordinator's own guards; the moment any ordered fold of the
-        remainder emits a response after such a commit, the whole
-        window rewinds to its start snapshot and refolds in exact
-        order — nothing was delivered downstream before the rewind
-        (the parent's site mirrors reject out-of-order epoch
-        thresholds), so the replay is indistinguishable from lockstep.
-        Rolls (clean path) and rewinds (dirty path) are mutually
-        exclusive within a window.
-        """
-        from multiprocessing.connection import wait as _connection_wait
-
-        coordinator = network.coordinator
-        counters = network.counters
-        coordinator_snapshot = counters_snapshot = None
-        if async_folds:
-            coordinator_snapshot = coordinator.snapshot_state()
-            counters_snapshot = counters.snapshot_state()
-        pending: dict = {}
-        alldesc: dict = {}
-        declined: set = set()
-        dirty = False
-        wait_seconds = 0.0
-        fold_seconds = 0.0
-        compute_seconds = 0.0
-        unordered_before = st["unordered_folds"]
-        remaining = set(range(len(handles)))
-        while remaining:
-            t0 = time.perf_counter()
-            if supervisor is None:
-                _connection_wait(
-                    [inboxes[i].handle.conn for i in remaining]
-                )
-            else:
-                deadline = max(
-                    supervisor.deadline(inboxes[i].handle)
-                    for i in remaining
-                )
-                ready = _connection_wait(
-                    [inboxes[i].handle.conn for i in remaining],
-                    timeout=deadline,
-                )
-                if not ready:
-                    silent = sorted(remaining)
-                    raise _WorkerFault(
-                        inboxes[silent[0]].handle,
-                        "hang",
-                        f"no pipelined progress within {deadline:.1f}s "
-                        f"(workers {silent} silent)",
-                        window=u,
-                    )
-            wait_seconds += time.perf_counter() - t0
-            for i in list(remaining):
-                inbox = inboxes[i]
-                while inbox.handle.conn.poll(0):
-                    self._pump(inbox, supervisor, u)
-                if u in inbox.res and (u == 0 or (u - 1) in inbox.acks):
-                    if u > 0:
-                        if inbox.acks.pop(u - 1):
-                            st["spec_hits"] += 1
-                        else:
-                            st["spec_misses"] += 1
-                    secs = inbox.secs.pop(u, 0.0)
-                    if secs > compute_seconds:
-                        compute_seconds = secs
-                    for descriptor in inbox.res.pop(u):
-                        pending[descriptor[0]] = (inbox.handle, descriptor)
-                        alldesc[descriptor[0]] = (inbox.handle, descriptor)
-                    remaining.discard(i)
-            if async_folds and pending and remaining:
-                # Overlap: fold order-invariant packs now, while the
-                # remaining workers are still computing/shipping.
-                t0 = time.perf_counter()
-                for site_id in sorted(pending):
-                    if site_id in declined:
-                        continue
-                    handle, descriptor = pending[site_id]
-                    if descriptor[1] == "m":  # scalar lists fold ordered
-                        declined.add(site_id)
-                        continue
-                    if self._fold_unordered(
-                        network, site_id, handle, descriptor, u
-                    ):
-                        del pending[site_id]
-                        dirty = True
-                        st["unordered_folds"] += 1
-                    else:
-                        declined.add(site_id)
-                fold_seconds += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if not dirty:
-            controls = self._fold_ordered(
-                u, network, handles, inboxes, pending, st, supervisor
-            )
-        else:
-            # Out-of-order commits happened: finish the remainder with
-            # *silent* ordered folds (count + fold, deliver nothing)
-            # and rewind the whole window the moment one responds.
-            controls = None
-            for site_id in sorted(pending):
-                handle, descriptor = pending[site_id]
-                if self._fold_silent(
-                    network, site_id, handle, descriptor, u
-                ):
-                    st["ordered_refolds"] += 1
-                    coordinator.restore_state(coordinator_snapshot)
-                    counters.restore_state(counters_snapshot)
-                    controls = self._fold_ordered(
-                        u, network, handles, inboxes, alldesc, st, supervisor
-                    )
-                    break
-            if controls is None:
-                controls = []
-        fold_seconds += time.perf_counter() - t0
-        st["worker_compute_seconds"] += compute_seconds
-        st["transport_wait_seconds"] += wait_seconds
-        st["parent_fold_seconds"] += fold_seconds
-        st["per_window"].append(
-            {
-                "window": u,
-                "worker_compute_seconds": compute_seconds,
-                "transport_wait_seconds": wait_seconds,
-                "parent_fold_seconds": fold_seconds,
-                "unordered_folds": st["unordered_folds"] - unordered_before,
-                "controls": len(controls),
-            }
-        )
-        return controls
-
-    def _fold_ordered(
-        self, u, network, handles, inboxes, descriptors, st, supervisor=None
-    ):
-        """The lockstep fold body over the pipelined wire: ascending
-        site order with the roll/replacement protocol (see
-        :meth:`_run_windows`), reading replacements through the
-        inboxes (speculative traffic may precede them in the pipe)."""
-        pending = dict(descriptors)
-        controls: List[Tuple[int, int, object]] = []
-        order = sorted(pending)
-        i = 0
-        while i < len(order):
-            site_id = order[i]
-            handle, descriptor = pending.pop(site_id)
-            responses = self._fold(
-                network, site_id, self._decode(handle, descriptor, u)
-            )
-            if responses:
-                controls.extend(
-                    (site_id, dest, message) for dest, message in responses
-                )
-                needs_roll = any(
-                    dest == BROADCAST or dest > site_id
-                    for dest, _ in responses
-                )
-                affected = [h for h in handles if h.site_hi - 1 > site_id]
-                if needs_roll and affected:
-                    st["rollbacks"] += 1
-                    for h in affected:
-                        self._send(h, ("roll", u, site_id, controls), u)
-                    for stale in [s for s in pending if s > site_id]:
-                        del pending[stale]
-                    for h in affected:
-                        inbox = inboxes[h.index]
-                        while u not in inbox.reps:
-                            self._pump(inbox, supervisor, u)
-                        for descriptor in inbox.reps.pop(u):
-                            pending[descriptor[0]] = (h, descriptor)
-                    order = order[: i + 1] + sorted(
-                        s for s in pending if s > site_id
-                    )
-            i += 1
-        return controls
-
-    def _fold_unordered(
-        self, network, site_id, handle, descriptor, window=None
-    ) -> bool:
-        """Attempt one arrival-order fold; True iff it committed.
-
-        A method (not inline) so the decoded zero-copy ring view dies
-        with this frame — a view bound in a frame captured by an error
-        traceback would outlive the pool and block ring teardown.
-        """
-        payload = self._decode(handle, descriptor, window)
-        if network.coordinator.on_message_pack_unordered(site_id, payload):
-            network.counters.record_upstream_pack(payload)
-            return True
-        return False
-
-    def _fold_silent(
-        self, network, site_id, handle, descriptor, window=None
-    ) -> bool:
-        """Ordered fold that delivers nothing downstream; True iff the
-        coordinator responded (the dirty window must then rewind).
-        Frame-scoped for the same ring-view-lifetime reason as
-        :meth:`_fold_unordered`.
-        """
-        coordinator = network.coordinator
-        counters = network.counters
-        payload = self._decode(handle, descriptor, window)
-        if isinstance(payload, MessagePack):
-            counters.record_upstream_pack(payload)
-            return bool(coordinator.on_message_pack(site_id, payload))
-        for message in payload:
-            counters.record_upstream(message)
-            if coordinator.on_message(site_id, message):
-                return True
-        return False
 
     def format_stats(self) -> str:
         """A human-readable breakdown of :attr:`last_run_stats` (used
@@ -2568,8 +1927,7 @@ class ShardedEngine(ColumnarEngine):
             )
         lines = [
             (
-                f"sharded engine breakdown (pipeline "
-                f"{stats.get('pipeline', '?')}, {stats['workers']} workers, "
+                f"sharded engine breakdown ({stats['workers']} workers, "
                 f"{stats['transport']} transport):"
             ),
             (
@@ -2577,16 +1935,6 @@ class ShardedEngine(ColumnarEngine):
                 f"{stats['rollbacks']}, controls {stats['controls']}"
             ),
         ]
-        spec = stats.get("speculation")
-        if spec is not None:
-            lines.append(
-                f"  speculation: {spec['hits']} hits, {spec['misses']} misses"
-            )
-        if "unordered_folds" in stats:
-            lines.append(
-                f"  async folds: {stats['unordered_folds']} packs out of "
-                f"order, {stats['ordered_refolds']} window refolds"
-            )
         timing = stats.get("timing")
         if timing is not None:
             parts = []
@@ -2603,11 +1951,6 @@ class ShardedEngine(ColumnarEngine):
                 f"  faults: {len(stats['faults'])} classified, "
                 f"{stats.get('worker_restarts', 0)} worker restarts, "
                 f"recovery {stats.get('recovery_seconds', 0.0):.3f}s"
-            )
-        if "degraded_to" in stats:
-            lines.append(
-                f"  degraded: {stats.get('degraded_from', '?')} -> "
-                f"{stats['degraded_to']}"
             )
         if "kernels" in stats:
             lines.append(f"  kernels: {stats['kernels']} backend")
@@ -2719,7 +2062,7 @@ class ShardedEngine(ColumnarEngine):
         coordinator's responses so the window loop can see broadcasts.
         Only called on uninstrumented networks (checked at ``run``
         start), where this *is* the delivery path, verbatim.
-        ``attempt`` (supervised lockstep only) guards downstream
+        ``attempt`` (supervised runs only) guards downstream
         deliveries across window-recovery refolds.
         """
         counters = network.counters

@@ -10,15 +10,12 @@ What is covered:
    engine (samples AND message counters), finishes in ``"sharded"``
    mode with the expected fault class and restart count, and leaks no
    processes or shared-memory segments.
-3. **Pipelined degradation** — the same kinds (plus ``stall_ack``)
-   under speculation: no in-place recovery exists there, so the run
-   must land on the lockstep rung, still bit-identical.
-4. **Exhaustion** — a zero restart budget or injected respawn failures
+3. **Exhaustion** — a zero restart budget or injected respawn failures
    walk the ladder to the in-process columnar engine; the run is still
    bit-identical and never hangs.
-5. **Error surface** — ``ShardedWorkerError``'s structured context and
+4. **Error surface** — ``ShardedWorkerError``'s structured context and
    message format, pinned (dashboards and scripts parse it).
-6. **Property** — a seeded, uniformly drawn single fault (hypothesis)
+5. **Property** — a seeded, uniformly drawn single fault (hypothesis)
    always yields a bit-identical recovered run.
 
 Every fault here is declarative and seeded (see
@@ -89,11 +86,10 @@ def _reference(n=ITEMS):
     return _REFERENCE[n]
 
 
-def _chaos_run(fault_plan, pipeline="off", n=ITEMS, **kwargs):
+def _chaos_run(fault_plan, n=ITEMS, **kwargs):
     engine = ShardedEngine(
         batch_size=BATCH,
         workers=WORKERS,
-        pipeline=pipeline,
         fault_plan=fault_plan,
         worker_timeout=TIMEOUT,
         **kwargs,
@@ -234,6 +230,21 @@ class TestLockstepRecovery:
         assert "degraded_to" not in stats
         _assert_no_orphans(before)
 
+    @pytest.mark.parametrize("kind", sorted(KIND_TO_CLASS))
+    def test_single_fault_recovers_over_pipe_transport(self, kind):
+        # Same ladder with every window shipped inline through the
+        # pipes (no shared-memory ring to rewind or reattach).
+        before = set(glob.glob("/dev/shm/psm_*"))
+        fingerprint, stats = _chaos_run(f"{kind}:1:2", transport="pipe")
+        assert fingerprint == _reference()
+        assert stats["mode"] == "sharded"
+        assert stats["transport"] == "pipe"
+        assert stats["worker_restarts"] == 1
+        assert [f["fault_class"] for f in stats["faults"]] == [
+            self.KIND_TO_CLASS[kind]
+        ]
+        _assert_no_orphans(before)
+
     @pytest.mark.parametrize(
         "plan", ["kill:0:0", "kill:2:3", "hang:2:0", "corrupt:0:3"]
     )
@@ -282,27 +293,7 @@ class TestLockstepRecovery:
 
 
 # ---------------------------------------------------------------------------
-# 3. Pipelined degradation: faults land on the lockstep rung
-# ---------------------------------------------------------------------------
-
-
-class TestPipelinedDegradation:
-    @pytest.mark.parametrize(
-        "plan", ["kill:1:2", "drop:0:1", "corrupt:1:3", "stall_ack:1:1"]
-    )
-    def test_fault_degrades_to_lockstep_bit_identical(self, plan):
-        before = set(glob.glob("/dev/shm/psm_*"))
-        fingerprint, stats = _chaos_run(plan, pipeline="on")
-        assert fingerprint == _reference()
-        assert stats["mode"] == "sharded"
-        assert stats["degraded_to"] == "lockstep"
-        assert stats["degraded_from"] == "pipelined"
-        assert len(stats["faults"]) >= 1
-        _assert_no_orphans(before)
-
-
-# ---------------------------------------------------------------------------
-# 4. Exhaustion: the ladder bottoms out, never hangs
+# 3. Exhaustion: the ladder bottoms out, never hangs
 # ---------------------------------------------------------------------------
 
 
@@ -318,6 +309,20 @@ class TestExhaustion:
         assert stats["worker_restarts"] == 0
         _assert_no_orphans(before)
 
+    def test_restart_budget_is_shared_across_workers(self):
+        # The budget counts restarts of any worker: the first fault
+        # recovers in place, the second (on another worker) finds the
+        # budget spent and bottoms out on columnar.
+        before = set(glob.glob("/dev/shm/psm_*"))
+        fingerprint, stats = _chaos_run(
+            "kill:1:1,kill:2:2", max_worker_restarts=1
+        )
+        assert fingerprint == _reference()
+        assert stats["mode"] == "degraded"
+        assert stats["degraded_to"] == "columnar"
+        assert stats["worker_restarts"] == 1
+        _assert_no_orphans(before)
+
     def test_respawn_exhaustion_degrades_to_columnar(self):
         # Every respawn attempt is made to fail: recovery cannot
         # complete, so the ladder bottoms out on the columnar engine.
@@ -328,19 +333,9 @@ class TestExhaustion:
         assert stats["rung"] == "columnar"
         _assert_no_orphans(before)
 
-    def test_pipelined_exhaustion_walks_both_rungs(self):
-        # The pipelined rung degrades to lockstep; a second planned
-        # fault there with no restart budget bottoms out on columnar.
-        fingerprint, stats = _chaos_run(
-            "kill:1:1,hang:2:2", pipeline="on", max_worker_restarts=0
-        )
-        assert fingerprint == _reference()
-        assert stats["mode"] == "degraded"
-        assert stats["degraded_to"] == "columnar"
-
 
 # ---------------------------------------------------------------------------
-# 5. Error surface: structured context, pinned message format
+# 4. Error surface: structured context, pinned message format
 # ---------------------------------------------------------------------------
 
 
@@ -385,7 +380,7 @@ class TestShardedWorkerError:
 
 
 # ---------------------------------------------------------------------------
-# 6. Property: any seeded single fault recovers bit-identically
+# 5. Property: any seeded single fault recovers bit-identically
 # ---------------------------------------------------------------------------
 
 

@@ -13,8 +13,8 @@ What is covered:
    deliberate, reviewed act (dashboards depend on these names).
 4. **Bit-parity** — samples AND message counters are identical with a
    live registry and with the null one, on every engine (reference,
-   batched, columnar, sharded in both pipeline modes) and on the
-   multi-query driver.  Instrumentation is observational only.
+   batched, columnar, sharded) and on the multi-query driver.
+   Instrumentation is observational only.
 5. **Instrumentation facts** — engines export run/item/window
    counters and message gauges that agree with the ground truth;
    worker shards ship metric columns that merge into per-worker
@@ -380,12 +380,9 @@ GOLDEN_METRIC_NAMES = [
     "repro_shard_degradations_total",
     "repro_shard_fallbacks_total",
     "repro_shard_faults_total",
-    "repro_shard_ordered_refolds_total",
     "repro_shard_phase_seconds_total",
     "repro_shard_recovery_seconds",
     "repro_shard_rollbacks_total",
-    "repro_shard_speculation_total",
-    "repro_shard_unordered_folds_total",
     "repro_shard_window_seconds",
     "repro_shard_windows_total",
     "repro_shard_worker_compute_seconds_total",
@@ -397,7 +394,6 @@ GOLDEN_METRIC_NAMES = [
     "repro_shard_worker_ring_bytes_total",
     "repro_shard_worker_rolls_served_total",
     "repro_shard_worker_snapshots_total",
-    "repro_shard_worker_spec_recomputes_total",
     "repro_shard_worker_windows_total",
 ]
 
@@ -410,8 +406,8 @@ class TestMetricNameStability:
         In-process engine runs, a driver run, and a (deterministic,
         spawn-free) sharded fallback run hit the real code paths; the
         sharded bridge and the worker-column merge are driven with
-        synthetic inputs so the racy metrics (speculation timing varies
-        run to run) still surface every name deterministically.
+        synthetic inputs so the racy metrics (timings vary run to run)
+        still surface every name deterministically.
         """
         registry = MetricsRegistry()
         for spec in ("reference", "batched", "columnar"):
@@ -432,9 +428,6 @@ class TestMetricNameStability:
                 "windows": 4,
                 "rollbacks": 1,
                 "controls": 2,
-                "speculation": {"hits": 3, "misses": 1},
-                "unordered_folds": 3,
-                "ordered_refolds": 1,
                 "timing": {"compute_seconds": 0.5, "fold_seconds": 0.25},
                 "per_window": [{"compute_seconds": 0.1, "packs": 2}],
             },
@@ -442,7 +435,7 @@ class TestMetricNameStability:
         merge_worker_deltas(registry, 0, (1.0,) * len(WORKER_METRIC_NAMES))
         observe_fault(registry, "crash")
         observe_recovery(registry, 0, 0.01)
-        observe_degradation(registry, "lockstep")
+        observe_degradation(registry, "columnar")
         observe_heartbeat_age(registry, 0, 0.0)
         assert registry.metric_names() == GOLDEN_METRIC_NAMES
 
@@ -457,7 +450,6 @@ class TestMetricNameStability:
             "compute_seconds",
             "snapshots",
             "rolls_served",
-            "spec_recomputes",
             "replay_windows",
         )
 
@@ -476,10 +468,10 @@ class TestInstrumentationParity:
         assert _fingerprint(plain) == _fingerprint(live)
         assert registry.metric_names()  # telemetry actually flowed
 
-    @pytest.mark.parametrize("pipeline", ["off", "on"])
-    def test_sharded_engine(self, pipeline):
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_sharded_engine(self, transport):
         pytest.importorskip("numpy")
-        engine = ShardedEngine(workers=2, batch_size=4096, pipeline=pipeline)
+        engine = ShardedEngine(workers=2, batch_size=4096, transport=transport)
         try:
             plain = _run(engine)
             assert engine.last_run_stats["mode"] == "sharded"
@@ -592,9 +584,7 @@ class TestEngineInstrumentation:
     def test_sharded_worker_columns_merge_at_commit(self):
         pytest.importorskip("numpy")
         registry = MetricsRegistry()
-        engine = ShardedEngine(
-            workers=2, batch_size=4096, pipeline="off"
-        ).instrument(registry)
+        engine = ShardedEngine(workers=2, batch_size=4096).instrument(registry)
         try:
             _run(engine)
             stats = engine.last_run_stats

@@ -7,6 +7,10 @@ What is covered:
    combinations, including batch size 1 (pure scalar-message
    transport), rollback-heavy runs, checkpoints, and reused networks
    (two consecutive ``run`` calls continue the RNG streams exactly).
+   A broadcast-storm stream drives dozens of mid-window rollbacks
+   through the same grid, and the coordinator/counter
+   ``snapshot_state``/``restore_state`` hooks behind window recovery
+   round-trip exactly.
 2. **Fallbacks** — workers=1, numpy-free installs, instrumented
    (traced) networks, and non-shardable sites all take the in-process
    columnar path; the engine is always safe to select.
@@ -31,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ConfigurationError
 from repro.core import DistributedWeightedSWOR, SworConfig
 from repro.net.counters import MessageCounters
-from repro.net.messages import REGULAR, SWR_SAMPLE, MessagePack
+from repro.net.messages import EARLY, REGULAR, SWR_SAMPLE, Message, MessagePack
 from repro.net.tracing import MessageTrace
 from repro.runtime import (
     ColumnarEngine,
@@ -42,6 +46,7 @@ from repro.runtime import (
 from repro.runtime.interfaces import SiteAlgorithm
 from repro.stream import round_robin, zipf_stream
 from repro.stream.columns import ColumnarStream, ShardSliceView
+from repro.stream.item import Item
 
 np = pytest.importorskip("numpy")
 
@@ -236,6 +241,282 @@ class TestShardedParity:
         assert engine.last_run_stats["mode"] == "sharded"
         assert sharded.resource_report() == columnar.resource_report()
         assert sum(s.items_seen for s in sharded.sites) == len(shared_stream)
+
+
+#: Shrinks saturation_size to round(0.75 * r * s) = 6 items per level
+#: set (r = 2 here), so level sets saturate — and broadcast — within a
+#: window or two of filling.
+STORM_FACTOR = 0.75
+
+
+def _storm(n=6000, seed=0, sites=SITES):
+    """Adversarial stream: a cycling level ladder plus a rising spine.
+
+    Four of five items cycle weights through ``2^0..2^7`` so every
+    level set fills (and with STORM_FACTOR, saturates) continuously;
+    every fifth item sits on an exponentially rising spine
+    ``2^(4..24)`` that drags the sample threshold across epoch
+    brackets throughout the run.  Both control families — LEVEL_SATURATED
+    and EPOCH_UPDATE — therefore fire dozens of times, and each one
+    rolls back the in-flight window.
+    """
+    rng = random.Random(seed)
+    items = []
+    for i in range(n):
+        if i % 5 == 0:
+            weight = 2.0 ** (4.0 + 20.0 * i / n) * (1.0 + rng.random())
+        else:
+            weight = 2.0 ** (i % 8) * (1.0 + rng.random())
+        items.append(Item(i, weight))
+    return round_robin(items, sites)
+
+
+def _storm_proto(engine):
+    return DistributedWeightedSWOR(
+        SworConfig(
+            num_sites=SITES, sample_size=SAMPLE, level_set_factor=STORM_FACTOR
+        ),
+        seed=SEED,
+        engine=engine,
+    )
+
+
+def _storm_run(stream, engine):
+    proto = _storm_proto(engine)
+    proto.run(stream)
+    return proto
+
+
+class TestBroadcastStormParity:
+    @pytest.fixture(scope="class")
+    def storm_stream(self):
+        return _storm()
+
+    @pytest.fixture(scope="class")
+    def columnar_256(self, storm_stream):
+        return _fingerprint(
+            _storm_run(storm_stream, ColumnarEngine(batch_size=256))
+        )
+
+    @pytest.mark.parametrize(
+        "workers,transport",
+        [
+            (2, "shm"),
+            (3, "pipe"),
+            (4, "auto"),
+            (2, "pipe"),
+            (3, "shm"),
+            (4, "pipe"),
+        ],
+    )
+    def test_parity_and_rollback_accounting(
+        self, storm_stream, columnar_256, workers, transport
+    ):
+        engine = ShardedEngine(
+            batch_size=256, workers=workers, transport=transport
+        )
+        proto = _storm_run(storm_stream, engine)
+        st = engine.last_run_stats
+        assert st["mode"] == "sharded"
+        assert _fingerprint(proto) == columnar_256
+        # The storm must actually storm: control broadcasts land
+        # mid-window dozens of times (38 observed at this config).
+        assert st["rollbacks"] >= 24
+
+    @pytest.mark.parametrize("batch_size,n", [(1, 800), (64, 4000), (512, 6000)])
+    def test_parity_across_batch_sizes(self, batch_size, n):
+        stream = _storm(n=n, seed=5)
+        columnar = _fingerprint(
+            _storm_run(stream, ColumnarEngine(batch_size=batch_size))
+        )
+        engine = ShardedEngine(batch_size=batch_size, workers=2)
+        proto = _storm_run(stream, engine)
+        assert engine.last_run_stats["mode"] == "sharded"
+        assert _fingerprint(proto) == columnar
+
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_reused_network_continues_through_storm(self, transport):
+        # Two consecutive runs on one protocol: the worker finals from
+        # run 1 must transplant back so run 2 continues the RNG streams
+        # exactly, whichever transport shipped the windows.
+        first = _storm(n=3000, seed=9)
+        second = _storm(n=3000, seed=10)
+
+        def run_twice(engine):
+            proto = _storm_proto(engine)
+            proto.run(first)
+            proto.run(second)
+            return _fingerprint(proto)
+
+        assert run_twice(ColumnarEngine(batch_size=256)) == run_twice(
+            ShardedEngine(batch_size=256, workers=3, transport=transport)
+        )
+
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_checkpoints_and_steps_match_columnar(self, transport):
+        # Checkpoints force window splits at arbitrary items; the
+        # rollback/commit cycle must not disturb their timing.
+        stream = _storm(n=6000, seed=11)
+        checkpoints = [100, 2500, 2501, 6000]
+
+        def run(engine):
+            proto = _storm_proto(engine)
+            hits, steps = [], []
+            proto.run(
+                stream,
+                checkpoints=checkpoints,
+                on_checkpoint=lambda t: hits.append(
+                    (t, tuple(i.ident for i in proto.sample()))
+                ),
+                on_step=steps.append,
+            )
+            return hits, steps, _fingerprint(proto)
+
+        assert run(ColumnarEngine(batch_size=512)) == run(
+            ShardedEngine(batch_size=512, workers=3, transport=transport)
+        )
+
+    def test_stats_shape(self, storm_stream):
+        engine = ShardedEngine(batch_size=256, workers=2)
+        _storm_run(storm_stream, engine)
+        st = engine.last_run_stats
+        assert st["timing"].keys() == {
+            "worker_compute_seconds",
+            "transport_wait_seconds",
+            "parent_fold_seconds",
+        }
+        assert all(v >= 0.0 for v in st["timing"].values())
+        # The workers really computed something, and it was shipped.
+        assert st["timing"]["worker_compute_seconds"] > 0.0
+        assert len(st["per_window"]) == st["windows"]
+        for entry in st["per_window"]:
+            assert entry.keys() == {
+                "window",
+                "worker_compute_seconds",
+                "transport_wait_seconds",
+                "parent_fold_seconds",
+                "controls",
+            }
+            assert entry["worker_compute_seconds"] >= 0.0
+        assert sum(
+            e["worker_compute_seconds"] for e in st["per_window"]
+        ) == pytest.approx(st["timing"]["worker_compute_seconds"])
+        # format_stats renders without raising and names every phase.
+        text = engine.format_stats()
+        assert "2 workers" in text
+        assert "worker compute" in text
+
+    def test_single_worker_fallback_dict(self, storm_stream, columnar_256):
+        engine = ShardedEngine(batch_size=256, workers=1)
+        proto = _storm_run(storm_stream, engine)
+        stats = engine.last_run_stats
+        # The fallback marker survives the run-stats refresh (which adds
+        # engine/items/seconds/windows to every completed run).
+        assert stats["mode"] == "fallback"
+        assert stats["reason"] == "single worker"
+        assert stats["engine"] == "sharded"
+        assert _fingerprint(proto) == columnar_256
+
+
+def _warm_coordinator():
+    """A coordinator mid-run, with a populated sample set and epoch."""
+    proto = DistributedWeightedSWOR(
+        SworConfig(num_sites=SITES, sample_size=SAMPLE), seed=SEED
+    )
+    proto.run(round_robin(zipf_stream(2000, random.Random(0), alpha=1.2), SITES))
+    return proto.coordinator, proto.network.counters
+
+
+def _regular_pack(keys):
+    keys = np.asarray(keys, dtype="float64")
+    return MessagePack(
+        regular_idents=900_000 + np.arange(len(keys), dtype="int64"),
+        regular_weights=np.ones(len(keys), dtype="float64"),
+        regular_keys=keys,
+    )
+
+
+class TestRecoverySnapshots:
+    """The window-boundary rewind points lockstep recovery uses."""
+
+    def test_snapshot_restore_roundtrip(self):
+        coord, _ = _warm_coordinator()
+        saved = coord.snapshot_state()
+        thr = coord.sample_set.threshold
+        mutating = _regular_pack([thr * 1.001, thr * 1.002, thr * 1.003])
+        coord.on_message_pack(0, mutating)
+        assert coord.snapshot_state() != saved
+        coord.restore_state(saved)
+        assert coord.snapshot_state() == saved
+        assert coord.sample_set.threshold == thr
+
+    def test_snapshot_is_detached_from_live_state(self):
+        # Folding after a snapshot must not reach back into it: the
+        # saved tuple is the rewind point, not a view of the live sets.
+        coord, _ = _warm_coordinator()
+        saved = coord.snapshot_state()
+        copy = coord.snapshot_state()
+        thr = coord.sample_set.threshold
+        coord.on_message_pack(0, _regular_pack([thr * 1.001, thr * 1.002]))
+        assert saved == copy
+
+    def test_refold_after_restore_is_identical(self):
+        # Recovery retries a window's fold from its rewind point; the
+        # retry must land on exactly the state the first fold reached.
+        coord, _ = _warm_coordinator()
+        thr = coord.sample_set.threshold
+        pack = _regular_pack([thr * 1.001, thr * 1.002, thr * 0.5])
+        start = coord.snapshot_state()
+        first = coord.on_message_pack(0, pack)
+        end = coord.snapshot_state()
+        coord.restore_state(start)
+        assert coord.on_message_pack(0, pack) == first
+        assert coord.snapshot_state() == end
+
+    def test_restore_rewinds_early_key_draws(self):
+        # Early items draw coordinator RNG in fold order, so a retried
+        # fold only matches if the RNG position is rewound too.
+        coord, _ = _warm_coordinator()
+        pack = MessagePack(
+            early_idents=np.array([7, 8], dtype="int64"),
+            early_weights=np.array([2.0, 3.0], dtype="float64"),
+            early_levels=np.array([1, 1], dtype="int64"),
+        )
+        start = coord.snapshot_state()
+        first = coord.on_message_pack(0, pack)
+        end = coord.snapshot_state()
+        assert end != start
+        coord.restore_state(start)
+        assert coord.on_message_pack(0, pack) == first
+        assert coord.snapshot_state() == end
+
+    def test_restore_rewinds_epoch_crossing_fold(self):
+        # A pack that drags the threshold across epoch brackets fires an
+        # EPOCH_UPDATE broadcast; rewinding must undo the epoch too, and
+        # the retry must fire the same broadcast again.
+        coord, _ = _warm_coordinator()
+        epoch = coord.epochs.epoch
+        big = coord.epochs.r ** (epoch + 3)
+        pack = _regular_pack([big, big * 2, big * 3, big * 4])
+        start = coord.snapshot_state()
+        first = coord.on_message_pack(0, pack)
+        assert first  # the crossing broadcast
+        assert coord.epochs.epoch > epoch
+        end = coord.snapshot_state()
+        coord.restore_state(start)
+        assert coord.epochs.epoch == epoch
+        assert coord.on_message_pack(0, pack) == first
+        assert coord.snapshot_state() == end
+
+    def test_counters_snapshot_restore_roundtrip(self):
+        _, counters = _warm_coordinator()
+        saved_state = counters.snapshot_state()
+        saved_view = counters.snapshot()
+        counters.record_upstream(Message(EARLY, (1, 2.0)))
+        counters.record_upstream_pack(_regular_pack([1.0, 2.0]))
+        assert counters.snapshot() != saved_view
+        counters.restore_state(saved_state)
+        assert counters.snapshot() == saved_view
 
 
 # ---------------------------------------------------------------------------
