@@ -9,8 +9,12 @@ message accounting) in the parent:
 
 * each worker owns its shard's protocol sites and a compacted
   :class:`~repro.stream.columns.ShardSliceView` of the stream columns
-  (shipped once per run, over :mod:`multiprocessing.shared_memory` when
-  available, pickled over the pipe otherwise);
+  (32 B per shard row).  The parent ships the stream in bounded chunks
+  — through one fixed-size :mod:`multiprocessing.shared_memory` staging
+  segment when available, pickled over the pipe otherwise — and each
+  worker compacts its rows out of every chunk, so the parent never
+  holds a second copy of the stream.  Workers cache their shard, and a
+  repeat run over the same columns ships nothing;
 * per batch window the worker runs the same per-site grouping and
   ``on_columns`` site pass the columnar engine would, and ships each
   (site, batch) :class:`~repro.net.messages.MessagePack` back as flat
@@ -172,6 +176,14 @@ __all__ = ["ShardedEngine", "ShardedWorkerError", "WorkerSupervisor"]
 #: pickling per pack, never to failure).
 _MIN_RING_BYTES = 1 << 20
 
+#: Size of the staging segment a cold stream shipment moves through,
+#: one chunk of rows at a time; the parent's shipping footprint.
+_STAGING_BYTES = 4 << 20
+
+#: Stream column dtypes (assignment, weights, idents) as staged: 24 B/row.
+_STREAM_DTYPES = ("<i8", "<f8", "<i8")
+_ROW_BYTES = 24
+
 #: Seconds to wait for a spawned worker's ready message before treating
 #: setup as failed (and falling back in-process).
 _READY_TIMEOUT = 120.0
@@ -327,41 +339,35 @@ def _adopt_site_state(dst, src) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _view_from_full_shm(name, spec, site_lo, site_hi):
-    """Attach the parent's full-column segment and compact this shard's
-    rows out of it.  The compaction copies (fancy indexing), so the
-    attachment is released immediately and the worker's footprint stays
-    proportional to its shard."""
-    from ..stream.columns import ShardSliceView
-
-    shm = _attach_shm(name)
-    try:
-        cols = {
-            column: _np.frombuffer(
-                shm.buf, dtype=_np.dtype(dtype), count=count, offset=offset
+def _stream_chunks(conn, n, shm, cap):
+    """Yield the parent's stream chunks ``(lo, assignment, weights,
+    idents)`` up to row ``n``, acking each once the consumer is done
+    with it: the parent overwrites the staging segment ``shm`` (None on
+    pipe transport, where the columns ride inline) only after every
+    worker has acked."""
+    done = 0
+    while done < n:
+        message = conn.recv()
+        if message[0] != "chk":
+            raise ProtocolViolationError(
+                f"shard worker got {message[0]!r} mid stream shipment"
             )
-            for column, (offset, dtype, count) in spec.items()
-        }
-        view = ShardSliceView.from_columns(
-            cols["assignment"],
-            cols["weights"],
-            cols["idents"],
-            site_lo,
-            site_hi,
-        )
-    finally:
-        del cols  # drop the buffer exports before closing the mapping
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - export still alive
-            pass
-    return view
+        lo, rows = message[1], message[2]
+        if shm is None:
+            yield (lo, *message[3])
+        else:
+            yield (lo, *(
+                _np.frombuffer(shm.buf, dtype=dtype, count=rows, offset=k * 8 * cap)
+                for k, dtype in enumerate(_STREAM_DTYPES)
+            ))
+        conn.send(("ack",))
+        done = lo + rows
 
 
 class _WorkerShard:
     """Worker-side state for one run: sites, stream view, ring cursor."""
 
-    def __init__(self, payload, ring, ring_bytes, stream_cache) -> None:
+    def __init__(self, payload, ring, ring_bytes, stream_cache, conn) -> None:
         set_default_kernels(payload.get("kernels", "auto"), strict=False)
         self.site_lo: int = payload["site_lo"]
         self.site_hi: int = payload["site_hi"]
@@ -372,20 +378,28 @@ class _WorkerShard:
                 raise ProtocolViolationError(
                     "parent referenced a stream this worker has not cached"
                 )
-            self.view = stream_cache["view"]
-        else:
-            if stream[0] == "full":
-                view = _view_from_full_shm(
-                    stream[1], stream[2], self.site_lo, self.site_hi
-                )
-                token = stream[3]
-            else:  # "view": pre-compacted, pipe transport
-                view = stream[1]
-                token = stream[2]
+        else:  # "chunks": drop the old shard before receiving the new one
+            from ..stream.columns import ShardSliceView
+
             stream_cache.clear()
+            _, token, rows, staging = stream
+            name, cap = staging or (None, 0)
+            shm = None if name is None else _attach_shm(name)
+            try:
+                stream_cache["view"] = ShardSliceView.from_chunks(
+                    _stream_chunks(conn, payload["n"], shm, cap),
+                    rows,
+                    self.site_lo,
+                    self.site_hi,
+                )
+            finally:
+                if shm is not None:
+                    try:
+                        shm.close()
+                    except BufferError:  # pragma: no cover - failed chunk
+                        pass
             stream_cache["token"] = token
-            stream_cache["view"] = view
-            self.view = view
+        self.view = stream_cache["view"]
         self.ring = ring
         self.ring_view = memoryview(ring.buf) if ring is not None else None
         self.ring_off = 0
@@ -800,7 +814,9 @@ def _worker_main(boot, conn) -> None:
                 raise ProtocolViolationError(
                     f"shard worker got unexpected command {command[0]!r}"
                 )
-            shard = _WorkerShard(command[1], ring, ring_bytes, stream_cache)
+            shard = _WorkerShard(
+                command[1], ring, ring_bytes, stream_cache, conn
+            )
             try:
                 _worker_run(shard, conn)
             finally:
@@ -883,6 +899,21 @@ def _reap_handle(handle) -> None:
         pass
 
 
+def _start_worker(ctx, index, ring, ring_bytes) -> _WorkerHandle:
+    """Spawn the worker for pool slot ``index``, attached to ``ring``
+    (None on pipe transport); the caller awaits its ready message."""
+    parent_conn, child_conn = ctx.Pipe()
+    process = ctx.Process(
+        target=_worker_main,
+        args=({"ring": None if ring is None else (ring.name, ring_bytes)}, child_conn),
+        daemon=True,
+        name=f"repro-shard-{index}",
+    )
+    process.start()
+    child_conn.close()
+    return _WorkerHandle(index, process, parent_conn, ring)
+
+
 def _shutdown_pool(pool) -> None:
     """Tear a worker pool down: polite bye, then force, then unlink.
 
@@ -921,8 +952,7 @@ def _shutdown_pool(pool) -> None:
             except Exception:  # pragma: no cover - reap is best-effort
                 pass
     finally:
-        stream = pool.get("stream")
-        _unlink_segments(pool["rings"] + (stream["shms"] if stream else []))
+        _unlink_segments(pool["rings"])
 
 
 def _checkpoint_network(network):
@@ -1400,41 +1430,33 @@ class ShardedEngine(ColumnarEngine):
         try:
             for index in range(workers):
                 ring = None
-                ring_spec = None
                 if use_shm:
                     ring = _shared_memory.SharedMemory(
                         create=True, size=ring_bytes
                     )
                     pool["rings"].append(ring)
-                    ring_spec = (ring.name, ring_bytes)
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_worker_main,
-                    args=({"ring": ring_spec}, child_conn),
-                    daemon=True,
-                    name=f"repro-shard-{index}",
-                )
-                process.start()
-                child_conn.close()
                 pool["handles"].append(
-                    _WorkerHandle(index, process, parent_conn, ring)
+                    _start_worker(ctx, index, ring, ring_bytes)
                 )
             for handle in pool["handles"]:
-                if not handle.conn.poll(_READY_TIMEOUT):
-                    raise ShardedWorkerError(
-                        f"shard worker {handle.index} not ready within "
-                        f"{_READY_TIMEOUT:.0f}s"
-                    )
-                message = self._recv(handle)
-                if message[0] != "rdy":
-                    raise ShardedWorkerError(
-                        f"shard worker {handle.index} sent {message[0]!r} "
-                        "instead of ready"
-                    )
+                self._await_ready(handle)
         except BaseException:
             _shutdown_pool(pool)
             raise
         return pool
+
+    def _await_ready(self, handle) -> None:
+        if not handle.conn.poll(_READY_TIMEOUT):
+            raise ShardedWorkerError(
+                f"shard worker {handle.index} not ready within "
+                f"{_READY_TIMEOUT:.0f}s"
+            )
+        message = self._recv(handle)
+        if message[0] != "rdy":
+            raise ShardedWorkerError(
+                f"shard worker {handle.index} sent {message[0]!r} "
+                "instead of ready"
+            )
 
     def _dispatch_run(
         self, pool, network, arrays, n, marks, supervisor=None
@@ -1442,18 +1464,17 @@ class ShardedEngine(ColumnarEngine):
         """Ship each worker its shard for this run: site states, the
         stream columns, and the window schedule.
 
-        The stream shipment is cached on the pool: a repeat run over
+        The stream shipment is cached on the workers: a repeat run over
         the SAME column arrays (identity-checked via weakrefs; the
         engine assumes stream columns are immutable, which every stream
-        in this package honors) just references the workers' cached
-        shard views — the steady state for repeated analyses over one
-        dataset.  Cold shipments move the full columns through one
-        shared segment (a single memcpy in the parent) and each worker
-        compacts its own shard out of it, in parallel.
+        in this package honors) just references their cached shard
+        views — the steady state for repeated analyses over one
+        dataset.  A cold run ships the columns in bounded chunks
+        (:meth:`_ship_stream`); the pool keeps only weakrefs, so no
+        copy of the stream outlives the shipment.
         """
         from ..stream.columns import ShardSliceView
 
-        assignment, weights, idents = arrays
         num_sites = network.num_sites
         workers = pool["workers"]
         cache = pool.get("stream")
@@ -1466,80 +1487,128 @@ class ShardedEngine(ColumnarEngine):
             )
         )
         if not cached:
-            token = 1 if cache is None else cache["token"] + 1
-            shms = []
-            specs = None
-            if pool["use_shm"]:
-                spec, shm = _columns_to_shm(assignment, weights, idents)
-                shms.append(shm)
-                specs = [("full",) + spec + (token,)] * workers
             pool["stream"] = {
                 "refs": [weakref.ref(array) for array in arrays],
                 "num_sites": num_sites,
-                "token": token,
-                "shms": shms,
-                # Kept for worker respawns: a fresh process has an
-                # empty stream cache, so it re-attaches the full
-                # segment instead of referencing ("cached", token).
-                "spec_full": specs[0] if specs is not None else None,
+                "token": 1 if cache is None else cache["token"] + 1,
             }
-            if cache is not None:
-                _unlink_segments(cache["shms"])
-        else:
-            token = cache["token"]
-            specs = [("cached", token)] * workers
         pool["run"] = {
             "n": n,
             "marks": marks,
             "metrics": bool(self.registry.enabled),
+            "shipment": {"cached": cached, "chunks": 0, "bytes": 0, "seconds": 0.0},
         }
+        payloads = []
         for handle in pool["handles"]:
             handle.site_lo, handle.site_hi = ShardSliceView.shard_range(
                 num_sites, workers, handle.index
             )
-            if specs is not None:
-                stream_spec = specs[handle.index]
-            else:
-                # Pipe transport, cold shipment: compact in the parent.
-                stream_spec = (
-                    "view",
-                    ShardSliceView.from_columns(
-                        assignment,
-                        weights,
-                        idents,
-                        handle.site_lo,
-                        handle.site_hi,
-                    ),
-                    token,
-                )
-            payload = {
-                "site_lo": handle.site_lo,
-                "site_hi": handle.site_hi,
-                "sites": network.sites[handle.site_lo : handle.site_hi],
-                "n": n,
-                "batch_size": self.batch_size,
-                "initial_batch_size": self.initial_batch_size,
-                "marks": marks,
-                "stream": stream_spec,
-                # The parent's resolved kernel backend by name; workers
-                # re-resolve with strict=False so a backend the worker
-                # interpreter cannot import degrades to auto, not a
-                # crash (the numpy tier is bit-identical anyway).
-                "kernels": _active_kernels().name,
-                # When truthy, workers append a flat telemetry column
-                # (WORKER_METRIC_NAMES order) to result messages; when
-                # falsy the wire shape is untouched.
-                "metrics": bool(self.registry.enabled),
-                "worker": handle.index,
-                "supervised": supervisor is not None,
-                "faults": (
-                    supervisor.wire_faults(handle.index)
-                    if supervisor is not None
-                    else None
-                ),
-            }
-            self._send(handle, ("run", payload))
+            sites = network.sites[handle.site_lo : handle.site_hi]
+            payloads.append(
+                (handle, self._payload(pool, handle, sites, supervisor))
+            )
+        self._ship_stream(pool, payloads, None if cached else arrays, supervisor)
 
+    def _payload(self, pool, handle, sites, supervisor):
+        """One worker's ``run`` payload (the stream spec is added by
+        :meth:`_ship_stream`)."""
+        run = pool["run"]
+        return {
+            "site_lo": handle.site_lo,
+            "site_hi": handle.site_hi,
+            "sites": sites,
+            "n": run["n"],
+            "batch_size": self.batch_size,
+            "initial_batch_size": self.initial_batch_size,
+            "marks": run["marks"],
+            # The parent's resolved kernel backend by name; workers
+            # re-resolve with strict=False so a backend the worker
+            # interpreter cannot import degrades to auto, not a
+            # crash (the numpy tier is bit-identical anyway).
+            "kernels": _active_kernels().name,
+            # When truthy, workers append a flat telemetry column
+            # (WORKER_METRIC_NAMES order) to result messages; when
+            # falsy the wire shape is untouched.
+            "metrics": run["metrics"],
+            "worker": handle.index,
+            "supervised": supervisor is not None,
+            "faults": (
+                supervisor.wire_faults(handle.index)
+                if supervisor is not None
+                else None
+            ),
+        }
+
+    def _ship_stream(
+        self, pool, payloads, arrays, supervisor=None, window=None
+    ) -> None:
+        """Send each ``(handle, payload)`` its ``run`` command, then —
+        unless ``arrays`` is None and the workers' cached shards serve —
+        the stream columns in bounded chunks.
+
+        The one shipment routine for cold dispatch, both transports and
+        respawns.  Each chunk of rows is staged (copied into a fixed-size
+        shared segment, or pickled inline on pipe transport) and
+        announced as ``("chk", lo, rows)``; every worker compacts its
+        shard's rows out of it into columns preallocated from the row
+        count in its payload, and acks before the next chunk overwrites
+        the buffer.  The parent's footprint is one chunk at any length.
+        """
+        token = pool["stream"]["token"]
+        if arrays is None:
+            for handle, payload in payloads:
+                payload["stream"] = ("cached", token)
+                self._send(handle, ("run", payload), window)
+            return
+        t_start = time.perf_counter()
+        n = len(arrays[0])
+        cap = max(1, min(n, _STAGING_BYTES // _ROW_BYTES))
+        counts = _np.bincount(arrays[0])
+        staging = None
+        columns = None
+        try:
+            if pool["use_shm"]:
+                staging = _shared_memory.SharedMemory(
+                    create=True, size=cap * _ROW_BYTES
+                )
+                columns = [
+                    _np.ndarray(cap, dtype, staging.buf, k * 8 * cap)
+                    for k, dtype in enumerate(_STREAM_DTYPES)
+                ]
+            for handle, payload in payloads:
+                payload["stream"] = (
+                    "chunks",
+                    token,
+                    int(counts[handle.site_lo : handle.site_hi].sum()),
+                    None if staging is None else (staging.name, cap),
+                )
+                self._send(handle, ("run", payload), window)
+            for lo in range(0, n, cap):
+                rows = min(cap, n - lo)
+                parts = [array[lo : lo + rows] for array in arrays]
+                if columns is None:
+                    message = ("chk", lo, rows, parts)
+                else:
+                    for k, part in enumerate(parts):
+                        columns[k][:rows] = part
+                    message = ("chk", lo, rows)
+                for handle, _ in payloads:
+                    self._send(handle, message, window)
+                for handle, _ in payloads:
+                    reply = self._recv(handle, supervisor, window)
+                    if reply[0] != "ack":  # pragma: no cover - protocol bug
+                        raise ShardedWorkerError(
+                            f"shard worker {handle.index} sent "
+                            f"{reply[0]!r} instead of a chunk ack"
+                        )
+        finally:
+            columns = None  # release the buffer exports before unlinking
+            if staging is not None:
+                _unlink_segments([staging])
+        shipment = pool["run"]["shipment"]
+        shipment["chunks"] += -(-n // cap)
+        shipment["bytes"] += n * _ROW_BYTES
+        shipment["seconds"] += time.perf_counter() - t_start
 
     # -- the window fold -----------------------------------------------
 
@@ -1714,10 +1783,8 @@ class ShardedEngine(ColumnarEngine):
                 "parent_fold_seconds": fold_total,
             },
             "per_window": per_window,
-            "shm_segments": [
-                shm.name
-                for shm in pool["rings"] + pool["stream"]["shms"]
-            ],
+            "shipment": pool["run"]["shipment"],
+            "shm_segments": [shm.name for shm in pool["rings"]],
         }
         return network.counters
 
@@ -1805,32 +1872,11 @@ class ShardedEngine(ColumnarEngine):
                     raise ShardedWorkerError(
                         f"injected respawn failure for worker {dead.index}"
                     )
-                ring_spec = None
-                if dead.ring is not None:
-                    ring_spec = (dead.ring.name, pool["ring_bytes"])
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_worker_main,
-                    args=({"ring": ring_spec}, child_conn),
-                    daemon=True,
-                    name=f"repro-shard-{dead.index}",
+                handle = _start_worker(
+                    ctx, dead.index, dead.ring, pool["ring_bytes"]
                 )
-                process.start()
-                child_conn.close()
-                if not parent_conn.poll(_READY_TIMEOUT):
-                    raise ShardedWorkerError(
-                        f"respawned shard worker {dead.index} not ready "
-                        f"within {_READY_TIMEOUT:.0f}s"
-                    )
-                message = parent_conn.recv()
-                if message[0] != "rdy":
-                    raise ShardedWorkerError(
-                        f"respawned shard worker {dead.index} sent "
-                        f"{message[0]!r} instead of ready"
-                    )
-                handle = _WorkerHandle(
-                    dead.index, process, parent_conn, dead.ring
-                )
+                process = handle.process
+                self._await_ready(handle)
                 handle.site_lo, handle.site_hi = dead.site_lo, dead.site_hi
                 pool["handles"][dead.index] = handle
                 return handle
@@ -1855,57 +1901,25 @@ class ShardedEngine(ColumnarEngine):
     ) -> None:
         """Ship a respawned worker its shard, rebuilt for deterministic
         recovery: run-start site states (sliced from the supervisor's
-        checkpoint), a fresh stream shipment (its cache died with the
-        old process), and the committed control history to fast-forward
-        through."""
-        from ..stream.columns import ShardSliceView
-
-        run = pool["run"]
-        stream_info = pool["stream"]
-        token = stream_info["token"]
-        if stream_info.get("spec_full") is not None:
-            stream_spec = stream_info["spec_full"]
-        else:
-            arrays = [ref() for ref in stream_info["refs"]]
-            if any(array is None for array in arrays):
-                raise _WorkerFault(
-                    handle,
-                    "crash",
-                    "stream columns were collected; cannot re-ship the "
-                    "shard to a respawned worker",
-                )
-            stream_spec = (
-                "view",
-                ShardSliceView.from_columns(
-                    arrays[0],
-                    arrays[1],
-                    arrays[2],
-                    handle.site_lo,
-                    handle.site_hi,
-                ),
-                token,
+        checkpoint), the committed control history to fast-forward
+        through, and a fresh chunked stream shipment — its cache died
+        with the old process — through the same :meth:`_ship_stream`
+        routine a cold dispatch uses."""
+        arrays = [ref() for ref in pool["stream"]["refs"]]
+        if any(array is None for array in arrays):
+            raise _WorkerFault(
+                handle,
+                "crash",
+                "stream columns were collected; cannot re-ship the "
+                "shard to a respawned worker",
             )
         sites = pickle.loads(supervisor.checkpoint["sites"])[
             handle.site_lo : handle.site_hi
         ]
-        payload = {
-            "site_lo": handle.site_lo,
-            "site_hi": handle.site_hi,
-            "sites": sites,
-            "n": run["n"],
-            "batch_size": self.batch_size,
-            "initial_batch_size": self.initial_batch_size,
-            "marks": run["marks"],
-            "stream": stream_spec,
-            "kernels": _active_kernels().name,
-            "metrics": run["metrics"],
-            "worker": handle.index,
-            "supervised": True,
-            "faults": supervisor.wire_faults(handle.index),
-            "resume": resume,
-            "history": list(history),
-        }
-        self._send(handle, ("run", payload))
+        payload = self._payload(pool, handle, sites, supervisor)
+        payload["resume"] = resume
+        payload["history"] = list(history)
+        self._ship_stream(pool, [(handle, payload)], arrays, supervisor, resume)
 
     def format_stats(self) -> str:
         """A human-readable breakdown of :attr:`last_run_stats` (used
@@ -1951,6 +1965,15 @@ class ShardedEngine(ColumnarEngine):
                 f"  faults: {len(stats['faults'])} classified, "
                 f"{stats.get('worker_restarts', 0)} worker restarts, "
                 f"recovery {stats.get('recovery_seconds', 0.0):.3f}s"
+            )
+        shipment = stats.get("shipment")
+        if shipment is not None:
+            lines.append(
+                f"  stream shipment: "
+                f"{'cached' if shipment['cached'] else 'cold'}, "
+                f"{shipment['chunks']} chunks, "
+                f"{shipment['bytes'] / (1 << 20):.1f} MiB, "
+                f"{shipment['seconds']:.3f}s"
             )
         if "kernels" in stats:
             lines.append(f"  kernels: {stats['kernels']} backend")
@@ -2083,29 +2106,6 @@ class ShardedEngine(ColumnarEngine):
                 _deliver_guarded(network, attempt, dest, response)
             out.extend(responses)
         return out
-
-
-def _columns_to_shm(assignment, weights, idents):
-    """Copy the full stream columns into one shared-memory segment
-    (a single parent-side memcpy, attached by every worker); returns
-    ``((name, column_spec), segment)``."""
-    columns = {
-        "assignment": assignment,
-        "weights": weights,
-        "idents": idents,
-    }
-    total = sum(array.nbytes for array in columns.values())
-    shm = _shared_memory.SharedMemory(create=True, size=max(1, total))
-    target = memoryview(shm.buf)
-    spec = {}
-    offset = 0
-    for name, array in columns.items():
-        array = _np.ascontiguousarray(array)
-        nbytes = array.nbytes
-        target[offset : offset + nbytes] = memoryview(array).cast("B")
-        spec[name] = (offset, array.dtype.str, len(array))
-        offset += nbytes
-    return (shm.name, spec), shm
 
 
 def _network_instrumented(network) -> bool:

@@ -160,16 +160,51 @@ class ShardSliceView:
         global arrival order, as from ``stream.arrays()``)."""
         _require_numpy()
         assignment = _np.asarray(assignment)
-        mask = (assignment >= site_lo) & (assignment < site_hi)
-        positions = _np.flatnonzero(mask)
-        return cls(
-            positions,
-            assignment[positions],
-            _np.asarray(weights)[positions],
-            _np.asarray(idents)[positions],
-            site_lo,
-            site_hi,
+        rows = int(
+            _np.count_nonzero((assignment >= site_lo) & (assignment < site_hi))
         )
+        return cls.from_chunks(
+            [(0, assignment, weights, idents)], rows, site_lo, site_hi
+        )
+
+    @classmethod
+    def from_chunks(cls, chunks, rows: int, site_lo, site_hi):
+        """Compact the rows of sites ``[site_lo, site_hi)`` out of
+        consecutive row chunks of the full stream columns.
+
+        ``chunks`` yields ``(lo, assignment, weights, idents)`` with
+        ``lo`` the chunk's first global row; ``rows`` is the shard's
+        total row count, so the four output columns are allocated once
+        and peak memory is the shard plus one chunk.  Positions come out
+        global and strictly increasing, exactly as :meth:`from_columns`
+        would produce them from the concatenated chunks.
+        """
+        _require_numpy()
+        positions = _np.empty(rows, dtype=_np.int64)
+        sites = _np.empty(rows, dtype=_np.int64)
+        weights_out = _np.empty(rows, dtype=_np.float64)
+        idents_out = _np.empty(rows, dtype=_np.int64)
+        fill = 0
+        for lo, assignment, weights, idents in chunks:
+            assignment = _np.asarray(assignment)
+            local = _np.flatnonzero(
+                (assignment >= site_lo) & (assignment < site_hi)
+            )
+            end = fill + len(local)
+            if end > rows:
+                raise ConfigurationError(
+                    f"shard [{site_lo}, {site_hi}) has more than {rows} rows"
+                )
+            positions[fill:end] = local + lo
+            sites[fill:end] = assignment[local]
+            weights_out[fill:end] = _np.asarray(weights)[local]
+            idents_out[fill:end] = _np.asarray(idents)[local]
+            fill = end
+        if fill != rows:
+            raise ConfigurationError(
+                f"shard [{site_lo}, {site_hi}) has {fill} rows, expected {rows}"
+            )
+        return cls(positions, sites, weights_out, idents_out, site_lo, site_hi)
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -245,6 +245,30 @@ class TestLockstepRecovery:
         ]
         _assert_no_orphans(before)
 
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_recovery_reships_a_multi_chunk_stream(
+        self, monkeypatch, transport
+    ):
+        # A 2,500-row staging segment ships the 12,000-row stream as
+        # five chunks (the last partial); the worker killed mid-run is
+        # respawned with an empty stream cache, so recovery re-ships
+        # all five to it and the run stays bit-identical.
+        from repro.runtime import sharded
+
+        monkeypatch.setattr(
+            sharded, "_STAGING_BYTES", 2500 * sharded._ROW_BYTES
+        )
+        before = set(glob.glob("/dev/shm/psm_*"))
+        fingerprint, stats = _chaos_run("kill:1:7", transport=transport)
+        assert fingerprint == _reference()
+        assert stats["mode"] == "sharded"
+        assert stats["worker_restarts"] == 1
+        assert stats["faults"][0]["window"] == 7
+        assert stats["shipment"]["cached"] is False
+        assert stats["shipment"]["chunks"] == 5 + 5
+        assert stats["shipment"]["bytes"] == 2 * 24 * ITEMS
+        _assert_no_orphans(before)
+
     @pytest.mark.parametrize(
         "plan", ["kill:0:0", "kill:2:3", "hang:2:0", "corrupt:0:3"]
     )

@@ -20,7 +20,12 @@ What is covered:
 4. **Wire form** — ``MessagePack.to_arrays``/``from_arrays`` round-trip
    (hypothesis property), with exact counter-accounting parity.
 5. **Shard slice views** — per-window grouping matches the columnar
-   engine's stable argsort slices.
+   engine's stable argsort slices, and chunked compaction matches
+   whole-column compaction.
+
+Chunked stream shipment is covered in section 1: multi-chunk streams
+stay bit-identical on both transports, warm reruns ship nothing, and
+after a 1M+ item run the parent's shared memory is the rings alone.
 """
 
 from __future__ import annotations
@@ -227,7 +232,9 @@ class TestShardedParity:
         engine = ShardedEngine(batch_size=512, workers=2)
         _run(_stream(n=2000), engine)
         segments = engine.last_run_stats["shm_segments"]
-        assert segments  # rings + the cached stream columns
+        # One result ring per worker; the stream's staging segment was
+        # unlinked when its shipment ended.
+        assert len(segments) == 2
         engine.close()
         engine.close()
         for name in segments:
@@ -241,6 +248,133 @@ class TestShardedParity:
         assert engine.last_run_stats["mode"] == "sharded"
         assert sharded.resource_report() == columnar.resource_report()
         assert sum(s.items_seen for s in sharded.sites) == len(shared_stream)
+
+
+#: Staging rows per chunk in the multi-chunk tests: the 10,000-item
+#: stream below ships as three full chunks plus a partial 1,000-row one.
+CHUNK_ROWS = 3000
+
+
+@pytest.fixture
+def small_staging(monkeypatch):
+    """Shrink the staging segment so test-sized streams span chunks."""
+    from repro.runtime import sharded
+
+    monkeypatch.setattr(
+        sharded, "_STAGING_BYTES", CHUNK_ROWS * sharded._ROW_BYTES
+    )
+
+
+def _rss_shmem_kib():
+    """This process's resident shared memory (``RssShmem``), or None
+    where ``/proc/self/status`` is unreadable or lacks the field."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+class TestChunkedShipment:
+    @pytest.fixture(scope="class")
+    def chunked_stream(self):
+        return _stream(n=10_000, seed=4)
+
+    @pytest.fixture(scope="class")
+    def columnar_512(self, chunked_stream):
+        return _fingerprint(
+            _run(chunked_stream, ColumnarEngine(batch_size=512))
+        )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_multi_chunk_parity(
+        self, small_staging, chunked_stream, columnar_512, transport, workers
+    ):
+        # Three workers over eight sites get unequal shards (2/3/3).
+        engine = ShardedEngine(
+            batch_size=512, workers=workers, transport=transport
+        )
+        try:
+            proto = _run(chunked_stream, engine)
+            st = engine.last_run_stats
+        finally:
+            engine.close()
+        assert st["mode"] == "sharded"
+        assert st["transport"] == transport
+        assert len(chunked_stream) % CHUNK_ROWS != 0  # a partial last chunk
+        assert st["shipment"] == {
+            "cached": False,
+            "chunks": 4,
+            "bytes": 24 * len(chunked_stream),
+            "seconds": st["shipment"]["seconds"],
+        }
+        assert _fingerprint(proto) == columnar_512
+
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_warm_rerun_ships_nothing_and_new_stream_reships(
+        self, small_staging, chunked_stream, columnar_512, transport
+    ):
+        other = _stream(n=7_000, seed=6)
+        engine = ShardedEngine(batch_size=512, workers=3, transport=transport)
+        try:
+            _run(chunked_stream, engine)
+            rerun = _run(chunked_stream, engine)
+            cached = engine.last_run_stats["shipment"]
+            swapped = _run(other, engine)
+            reshipped = engine.last_run_stats["shipment"]
+        finally:
+            engine.close()
+        assert cached["cached"] is True
+        assert cached["chunks"] == cached["bytes"] == 0
+        assert _fingerprint(rerun) == columnar_512
+        assert reshipped["cached"] is False
+        assert reshipped["chunks"] == 3  # 7,000 rows: 3,000 + 3,000 + 1,000
+        assert _fingerprint(swapped) == _fingerprint(
+            _run(other, ColumnarEngine(batch_size=512))
+        )
+
+    def test_parent_shared_memory_does_not_grow_with_stream(self):
+        # The real staging size: 1.2M rows ship as several 4 MiB
+        # chunks, and once the run ends the parent maps only the result
+        # rings — not a second copy of the stream (24 B/row, 27 MiB).
+        from multiprocessing import shared_memory
+
+        from repro.runtime import sharded
+        from repro.stream.columns import columnar_zipf_stream
+
+        before = _rss_shmem_kib()
+        if before is None:
+            pytest.skip("RssShmem not readable from /proc/self/status")
+        n = 1_200_000
+        stream = columnar_zipf_stream(n, SITES, seed=8)
+        engine = ShardedEngine(batch_size=65536, workers=2, transport="shm")
+        try:
+            proto = _run(stream, engine)
+            grown_kib = _rss_shmem_kib() - before
+            st = engine.last_run_stats
+            segments = st["shm_segments"]
+            ring_bytes = 0
+            for name in segments:
+                ring = shared_memory.SharedMemory(name=name)
+                ring_bytes += ring.size
+                ring.close()
+        finally:
+            engine.close()
+        assert st["mode"] == "sharded"
+        assert len(segments) == 2  # the rings, one per worker, only
+        cap = sharded._STAGING_BYTES // sharded._ROW_BYTES
+        assert st["shipment"]["chunks"] == -(-n // cap) >= 3
+        assert n % cap != 0
+        bound = ring_bytes + sharded._STAGING_BYTES
+        assert bound < 24 * n  # the bound does not scale with the stream
+        assert grown_kib * 1024 <= bound
+        assert _fingerprint(proto) == _fingerprint(
+            _run(stream, ColumnarEngine(batch_size=65536))
+        )
 
 
 #: Shrinks saturation_size to round(0.75 * r * s) = 6 items per level
@@ -401,10 +535,16 @@ class TestBroadcastStormParity:
         assert sum(
             e["worker_compute_seconds"] for e in st["per_window"]
         ) == pytest.approx(st["timing"]["worker_compute_seconds"])
+        assert st["shipment"].keys() == {"cached", "chunks", "bytes", "seconds"}
+        assert st["shipment"]["cached"] is False
+        assert st["shipment"]["chunks"] == 1
+        assert st["shipment"]["bytes"] == 24 * len(storm_stream)
+        assert st["shipment"]["seconds"] > 0.0
         # format_stats renders without raising and names every phase.
         text = engine.format_stats()
         assert "2 workers" in text
         assert "worker compute" in text
+        assert "stream shipment: cold, 1 chunks" in text
 
     def test_single_worker_fallback_dict(self, storm_stream, columnar_256):
         engine = ShardedEngine(batch_size=256, workers=1)
@@ -854,6 +994,31 @@ class TestShardSliceView:
             assert weights_sorted[start:end].tolist() == (
                 weights[expected[sid]].tolist()
             )
+
+    @pytest.mark.parametrize("bounds", [[500], [1, 250, 499], [120, 120, 400]])
+    def test_from_chunks_matches_from_columns(self, bounds):
+        rng = np.random.default_rng(6)
+        assignment = rng.integers(0, 7, size=500)
+        weights = rng.random(500) + 0.5
+        idents = rng.integers(0, 1 << 40, size=500)
+        whole = ShardSliceView.from_columns(assignment, weights, idents, 2, 5)
+        cuts = [0] + bounds + [500]
+        chunks = [
+            (lo, assignment[lo:hi], weights[lo:hi], idents[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        view = ShardSliceView.from_chunks(chunks, len(whole), 2, 5)
+        for column in ("positions", "sites", "weights", "idents"):
+            assert getattr(view, column).tolist() == (
+                getattr(whole, column).tolist()
+            )
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_from_chunks_rejects_a_wrong_row_count(self, delta):
+        assignment = np.array([0, 1, 2, 1, 0])
+        chunks = [(0, assignment, np.ones(5), np.arange(5))]
+        with pytest.raises(ConfigurationError, match="rows"):
+            ShardSliceView.from_chunks(chunks, 2 + delta, 1, 2)
 
     def test_shard_views_partition_the_stream(self):
         stream = ColumnarStream.from_distributed(_stream(n=1000))
