@@ -203,7 +203,6 @@ def _finish(report_fn, stream, col_time, col_proto, sharded, metrics=None):
         "max_messages_ratio": MAX_MSG_RATIO,
         "mode": stats.get("mode"),
         "warm_pool": stats.get("warm_pool"),
-        "transport": stats.get("transport"),
         "rollbacks": stats.get("rollbacks"),
         "windows": stats.get("windows"),
         "timing": stats.get("timing"),
@@ -223,7 +222,7 @@ def _finish(report_fn, stream, col_time, col_proto, sharded, metrics=None):
             f"counters identical: {counters_identical}, "
             f"messages ratio {messages_ratio:.3f} (cap {MAX_MSG_RATIO}); "
             f"rollbacks={result['rollbacks']} over {result['windows']} "
-            f"windows, transport={result['transport']}",
+            "windows",
         )
     )
     if JSON_PATH:

@@ -21,6 +21,7 @@ Message kinds mirror the paper's vocabulary:
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Tuple
 
 __all__ = [
@@ -282,14 +283,24 @@ class MessagePack:
 
         The returned pack's columns are zero-copy views over ``buf``
         (wire dtypes match, so :meth:`from_arrays` does not copy);
-        callers must consume the pack before the slot is rewritten.
+        callers must consume the pack before the slot is rewritten.  A
+        malformed spec entry (wrong arity, unknown dtype, non-integer
+        offset or count, bytes outside ``buf``) raises
+        :class:`PackWireError`.
         """
         import numpy as _np
 
         nbytes = len(buf) if isinstance(buf, (bytes, bytearray)) else buf.nbytes
         columns = {}
-        for name, (offset, dtype, count) in spec.items():
-            dt = _np.dtype(dtype)
+        for name, entry in spec.items():
+            try:
+                offset, dtype, count = entry
+                dt = _np.dtype(dtype)
+                offset, count = operator.index(offset), operator.index(count)
+            except (TypeError, ValueError) as exc:
+                raise PackWireError(
+                    f"bad descriptor for column {name!r}: {exc}"
+                ) from None
             end = offset + dt.itemsize * count
             if offset < 0 or count < 0 or end > nbytes:
                 raise PackWireError(
@@ -311,7 +322,7 @@ class MessagePack:
         (no-copy for arrays already in wire dtype, e.g. zero-copy views
         over a shared-memory ring), so ``pack.messages()`` and the
         counter accounting of the round-tripped pack match the original
-        exactly.  Requires numpy.
+        exactly; every column must be 1-D.  Requires numpy.
         """
         try:
             import numpy as _np
@@ -330,6 +341,11 @@ class MessagePack:
             name: _np.ascontiguousarray(value, dtype=cls.WIRE_DTYPES[name])
             for name, value in columns.items()
         }
+        for name, value in kwargs.items():
+            if value.ndim != 1:
+                raise PackWireError(
+                    f"column {name!r} has shape {value.shape}, not 1-D"
+                )
         # Each half travels complete or not at all (``regular_extra``
         # is the one genuinely optional column): a partial half would
         # build a pack that only crashes later, deep in a coordinator

@@ -10,17 +10,17 @@ message accounting) in the parent:
 * each worker owns its shard's protocol sites and a compacted
   :class:`~repro.stream.columns.ShardSliceView` of the stream columns
   (32 B per shard row).  The parent ships the stream in bounded chunks
-  — through one fixed-size :mod:`multiprocessing.shared_memory` staging
-  segment when available, pickled over the pipe otherwise — and each
-  worker compacts its rows out of every chunk, so the parent never
-  holds a second copy of the stream.  Workers cache their shard, and a
-  repeat run over the same columns ships nothing;
+  through one fixed-size :mod:`multiprocessing.shared_memory` staging
+  segment, and each worker compacts its rows out of every chunk, so the
+  parent never holds a second copy of the stream.  Workers cache their
+  shard, and a repeat run over the same columns ships nothing;
 * per batch window the worker runs the same per-site grouping and
   ``on_columns`` site pass the columnar engine would, and ships each
   (site, batch) :class:`~repro.net.messages.MessagePack` back as flat
   columns (:meth:`~repro.net.messages.MessagePack.to_arrays`) through a
   per-worker shared-memory ring the parent reads zero-copy — falling
-  back to inline pickling for oversized windows or pipe transport;
+  back to inline pickling over the pipe for packs too big for the ring.
+  The pipe otherwise carries only commands, acks and descriptors;
 * the parent folds the packs through the **same** coordinator bulk path
   (:meth:`~repro.runtime.interfaces.CoordinatorAlgorithm.on_message_pack`)
   in the **same** deterministic ascending-(batch, site) order the
@@ -108,13 +108,15 @@ Fallbacks: numpy-free installs, non-int64 ident streams, ``workers=1``
 (or one site), instrumented networks (a
 :class:`~repro.net.tracing.MessageTrace` wrapping the delivery
 methods), sites that declare themselves non-shardable
-(:attr:`~repro.runtime.interfaces.SiteAlgorithm.shardable`), and any
-worker-setup failure (spawn unavailable, unpicklable sites, no shared
-memory) all run the in-process :class:`ColumnarEngine` path instead, so
-the engine is always safe to select; ``last_run_stats`` records which
-mode ran.  Sites whose bulk hooks return *lazy* message iterators are
-materialized at the worker before shipping (the batched engine streams
-them instead); all shipped protocols return materialized lists.
+(:attr:`~repro.runtime.interfaces.SiteAlgorithm.shardable`),
+platforms without :mod:`multiprocessing.shared_memory`, and any
+worker-setup failure (spawn unavailable, unpicklable sites, a segment
+that cannot be created) all run the in-process :class:`ColumnarEngine`
+path instead, so the engine is always safe to select;
+``last_run_stats`` records which mode ran.  Sites whose bulk hooks
+return *lazy* message iterators are materialized at the worker before
+shipping (the batched engine streams them instead); all shipped
+protocols return materialized lists.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ try:  # the shard-parallel path is numpy-only; gated, not required
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None  # type: ignore[assignment]
 
-try:  # shared memory may be missing on exotic builds; pipes then carry all
+try:  # shared memory may be missing on exotic builds; runs then fall back
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platform-dependent
     _shared_memory = None  # type: ignore[assignment]
@@ -342,9 +344,8 @@ def _adopt_site_state(dst, src) -> None:
 def _stream_chunks(conn, n, shm, cap):
     """Yield the parent's stream chunks ``(lo, assignment, weights,
     idents)`` up to row ``n``, acking each once the consumer is done
-    with it: the parent overwrites the staging segment ``shm`` (None on
-    pipe transport, where the columns ride inline) only after every
-    worker has acked."""
+    with it: the parent overwrites the staging segment ``shm`` only
+    after every worker has acked."""
     done = 0
     while done < n:
         message = conn.recv()
@@ -353,13 +354,10 @@ def _stream_chunks(conn, n, shm, cap):
                 f"shard worker got {message[0]!r} mid stream shipment"
             )
         lo, rows = message[1], message[2]
-        if shm is None:
-            yield (lo, *message[3])
-        else:
-            yield (lo, *(
-                _np.frombuffer(shm.buf, dtype=dtype, count=rows, offset=k * 8 * cap)
-                for k, dtype in enumerate(_STREAM_DTYPES)
-            ))
+        yield (lo, *(
+            _np.frombuffer(shm.buf, dtype=dtype, count=rows, offset=k * 8 * cap)
+            for k, dtype in enumerate(_STREAM_DTYPES)
+        ))
         conn.send(("ack",))
         done = lo + rows
 
@@ -382,9 +380,8 @@ class _WorkerShard:
             from ..stream.columns import ShardSliceView
 
             stream_cache.clear()
-            _, token, rows, staging = stream
-            name, cap = staging or (None, 0)
-            shm = None if name is None else _attach_shm(name)
+            _, token, rows, (name, cap) = stream
+            shm = _attach_shm(name)
             try:
                 stream_cache["view"] = ShardSliceView.from_chunks(
                     _stream_chunks(conn, payload["n"], shm, cap),
@@ -393,15 +390,13 @@ class _WorkerShard:
                     self.site_hi,
                 )
             finally:
-                if shm is not None:
-                    try:
-                        shm.close()
-                    except BufferError:  # pragma: no cover - failed chunk
-                        pass
+                try:
+                    shm.close()
+                except BufferError:  # pragma: no cover - failed chunk
+                    pass
             stream_cache["token"] = token
         self.view = stream_cache["view"]
-        self.ring = ring
-        self.ring_view = memoryview(ring.buf) if ring is not None else None
+        self.ring_view = memoryview(ring.buf)
         self.ring_off = 0
         self.ring_limit = ring_bytes
         self.windows = list(
@@ -523,11 +518,11 @@ class _WorkerShard:
         return out
 
     def _encode(self, site_id: int, result):
-        """Serialize one site's window result for the pipe/ring.
+        """Serialize one site's window result for the ring/pipe.
 
         Packs go as flat columns — into the shared-memory ring when
-        they fit (the parent rebuilds zero-copy views), inline
-        otherwise; scalar fallbacks (single-item site batches) go as
+        they fit (the parent rebuilds zero-copy views), inline over the
+        pipe otherwise; scalar fallbacks (single-item site batches) go as
         pickled message lists, materialized here because a lazy
         iterator cannot cross the process boundary.
         """
@@ -538,16 +533,15 @@ class _WorkerShard:
             if metrics is not None:
                 metrics["packs"] += 1
                 metrics["pack_entries"] += len(result)
-            if self.ring is not None:
-                encoded = result.write_into(
-                    self.ring_view, self.ring_off, self.ring_limit
-                )
-                if encoded is not None:
-                    kind, spec, end = encoded
-                    if metrics is not None:
-                        metrics["ring_bytes"] += end - self.ring_off
-                    self.ring_off = end
-                    return (site_id, "p", kind, spec)
+            encoded = result.write_into(
+                self.ring_view, self.ring_off, self.ring_limit
+            )
+            if encoded is not None:
+                kind, spec, end = encoded
+                if metrics is not None:
+                    metrics["ring_bytes"] += end - self.ring_off
+                self.ring_off = end
+                return (site_id, "p", kind, spec)
             kind, columns = result.to_arrays()
             return (site_id, "q", kind, columns)
         messages = list(result)
@@ -790,7 +784,7 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
     _send_state(shard, conn)
 
 
-def _worker_main(boot, conn) -> None:
+def _worker_main(ring_name, ring_bytes, conn) -> None:
     """Process entry point: serve runs until told to go (or cut off).
 
     The process persists across ``run()`` calls — per-run state arrives
@@ -799,11 +793,7 @@ def _worker_main(boot, conn) -> None:
     """
     ring = None
     try:
-        ring_spec = boot["ring"]
-        ring_bytes = 0
-        if ring_spec is not None:
-            ring = _attach_shm(ring_spec[0])
-            ring_bytes = ring_spec[1]
+        ring = _attach_shm(ring_name)
         stream_cache: dict = {}
         conn.send(("rdy",))
         while True:
@@ -900,12 +890,12 @@ def _reap_handle(handle) -> None:
 
 
 def _start_worker(ctx, index, ring, ring_bytes) -> _WorkerHandle:
-    """Spawn the worker for pool slot ``index``, attached to ``ring``
-    (None on pipe transport); the caller awaits its ready message."""
+    """Spawn the worker for pool slot ``index``, attached to ``ring``;
+    the caller awaits its ready message."""
     parent_conn, child_conn = ctx.Pipe()
     process = ctx.Process(
         target=_worker_main,
-        args=({"ring": None if ring is None else (ring.name, ring_bytes)}, child_conn),
+        args=(ring.name, ring_bytes, child_conn),
         daemon=True,
         name=f"repro-shard-{index}",
     )
@@ -1116,11 +1106,6 @@ class ShardedEngine(ColumnarEngine):
     workers:
         Worker process count; defaults to ``os.cpu_count()``.  Clamped
         to the site count; ``1`` runs the in-process columnar path.
-    transport:
-        ``"auto"`` (shared memory when available, else pipes),
-        ``"shm"``, or ``"pipe"`` — how stream shards and result columns
-        move between processes.  Pipes are the portable fallback;
-        shared memory gives the parent zero-copy column views.
     worker_timeout:
         Supervision deadline in seconds: how long a worker may stay
         silent while the parent waits on it before the supervisor
@@ -1146,7 +1131,6 @@ class ShardedEngine(ColumnarEngine):
         batch_size: int = DEFAULT_BATCH_SIZE,
         initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
         workers: Optional[int] = None,
-        transport: str = "auto",
         kernels=None,
         worker_timeout: Optional[float] = None,
         max_worker_restarts: int = 2,
@@ -1162,10 +1146,6 @@ class ShardedEngine(ColumnarEngine):
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if transport not in ("auto", "shm", "pipe"):
-            raise ConfigurationError(
-                f"transport must be 'auto', 'shm', or 'pipe', got {transport!r}"
-            )
         if worker_timeout is None:
             worker_timeout = _DEFAULT_WORKER_TIMEOUT
         if worker_timeout <= 0:
@@ -1188,13 +1168,12 @@ class ShardedEngine(ColumnarEngine):
                 f"got {fault_plan!r}"
             )
         self.workers = int(workers)
-        self.transport = transport
         self.worker_timeout = float(worker_timeout)
         self.max_worker_restarts = int(max_worker_restarts)
         self.fault_plan = fault_plan
         self.supervision = supervision
-        #: Observability: how the last ``run`` executed (mode, effective
-        #: transport, window/rollback counts, per-window timing,
+        #: Observability: how the last ``run`` executed (mode,
+        #: window/rollback counts, per-window timing, stream shipment,
         #: warm-pool reuse).
         self.last_run_stats: dict = {}
         self._pool = None
@@ -1203,7 +1182,7 @@ class ShardedEngine(ColumnarEngine):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedEngine(batch_size={self.batch_size}, "
-            f"workers={self.workers}, transport={self.transport!r})"
+            f"workers={self.workers})"
         )
 
     def close(self) -> None:
@@ -1260,6 +1239,8 @@ class ShardedEngine(ColumnarEngine):
         reason = None
         if _np is None:
             reason = "numpy unavailable"
+        elif _shared_memory is None:
+            reason = "shared memory unavailable"
         elif arrays is None or arrays[2] is None:
             reason = "stream has no int64 column view"
         elif n == 0:
@@ -1411,30 +1392,19 @@ class ShardedEngine(ColumnarEngine):
     def _spawn_pool(self, workers: int):
         from multiprocessing import get_context
 
-        use_shm = (
-            self.transport in ("auto", "shm") and _shared_memory is not None
-        )
-        if self.transport == "shm" and _shared_memory is None:
-            raise ConfigurationError("shared memory is unavailable")
         ctx = get_context("spawn")
         ring_bytes = max(_MIN_RING_BYTES, 48 * self.batch_size + 4096)
         pool = {
             "workers": workers,
             "handles": [],
             "rings": [],
-            "transport": "shm" if use_shm else "pipe",
-            "use_shm": use_shm,
             "ring_bytes": ring_bytes,
             "closed": False,
         }
         try:
             for index in range(workers):
-                ring = None
-                if use_shm:
-                    ring = _shared_memory.SharedMemory(
-                        create=True, size=ring_bytes
-                    )
-                    pool["rings"].append(ring)
+                ring = _shared_memory.SharedMemory(create=True, size=ring_bytes)
+                pool["rings"].append(ring)
                 pool["handles"].append(
                     _start_worker(ctx, index, ring, ring_bytes)
                 )
@@ -1546,10 +1516,9 @@ class ShardedEngine(ColumnarEngine):
         unless ``arrays`` is None and the workers' cached shards serve —
         the stream columns in bounded chunks.
 
-        The one shipment routine for cold dispatch, both transports and
-        respawns.  Each chunk of rows is staged (copied into a fixed-size
-        shared segment, or pickled inline on pipe transport) and
-        announced as ``("chk", lo, rows)``; every worker compacts its
+        The one shipment routine for cold dispatch and respawns.  Each
+        chunk of rows is copied into a fixed-size shared staging segment
+        and announced as ``("chk", lo, rows)``; every worker compacts its
         shard's rows out of it into columns preallocated from the row
         count in its payload, and acks before the next chunk overwrites
         the buffer.  The parent's footprint is one chunk at any length.
@@ -1564,36 +1533,26 @@ class ShardedEngine(ColumnarEngine):
         n = len(arrays[0])
         cap = max(1, min(n, _STAGING_BYTES // _ROW_BYTES))
         counts = _np.bincount(arrays[0])
-        staging = None
-        columns = None
+        staging = _shared_memory.SharedMemory(create=True, size=cap * _ROW_BYTES)
         try:
-            if pool["use_shm"]:
-                staging = _shared_memory.SharedMemory(
-                    create=True, size=cap * _ROW_BYTES
-                )
-                columns = [
-                    _np.ndarray(cap, dtype, staging.buf, k * 8 * cap)
-                    for k, dtype in enumerate(_STREAM_DTYPES)
-                ]
+            columns = [
+                _np.ndarray(cap, dtype, staging.buf, k * 8 * cap)
+                for k, dtype in enumerate(_STREAM_DTYPES)
+            ]
             for handle, payload in payloads:
                 payload["stream"] = (
                     "chunks",
                     token,
                     int(counts[handle.site_lo : handle.site_hi].sum()),
-                    None if staging is None else (staging.name, cap),
+                    (staging.name, cap),
                 )
                 self._send(handle, ("run", payload), window)
             for lo in range(0, n, cap):
                 rows = min(cap, n - lo)
-                parts = [array[lo : lo + rows] for array in arrays]
-                if columns is None:
-                    message = ("chk", lo, rows, parts)
-                else:
-                    for k, part in enumerate(parts):
-                        columns[k][:rows] = part
-                    message = ("chk", lo, rows)
+                for column, array in zip(columns, arrays):
+                    column[:rows] = array[lo : lo + rows]
                 for handle, _ in payloads:
-                    self._send(handle, message, window)
+                    self._send(handle, ("chk", lo, rows), window)
                 for handle, _ in payloads:
                     reply = self._recv(handle, supervisor, window)
                     if reply[0] != "ack":  # pragma: no cover - protocol bug
@@ -1603,8 +1562,7 @@ class ShardedEngine(ColumnarEngine):
                         )
         finally:
             columns = None  # release the buffer exports before unlinking
-            if staging is not None:
-                _unlink_segments([staging])
+            _unlink_segments([staging])
         shipment = pool["run"]["shipment"]
         shipment["chunks"] += -(-n // cap)
         shipment["bytes"] += n * _ROW_BYTES
@@ -1773,7 +1731,6 @@ class ShardedEngine(ColumnarEngine):
         self.last_run_stats = {
             "mode": "sharded",
             "workers": pool["workers"],
-            "transport": pool["transport"],
             "windows": len(windows),
             "rollbacks": rollbacks,
             "controls": controls_total,
@@ -1940,10 +1897,7 @@ class ShardedEngine(ColumnarEngine):
                 f"({stats.get('reason', 'unknown reason')})"
             )
         lines = [
-            (
-                f"sharded engine breakdown ({stats['workers']} workers, "
-                f"{stats['transport']} transport):"
-            ),
+            f"sharded engine breakdown ({stats['workers']} workers):",
             (
                 f"  windows {stats['windows']}, rollbacks "
                 f"{stats['rollbacks']}, controls {stats['controls']}"

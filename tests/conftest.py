@@ -34,3 +34,23 @@ def skewed_items(rng) -> list:
     items.append(Item(199, 8000.0))
     rng.shuffle(items)
     return items
+
+
+@pytest.fixture
+def shard_ring_limit(monkeypatch):
+    """Setter that caps the bytes each sharded worker may fill in its
+    result ring per window.  Packs past the cap ship inline over the
+    pipe (``"q"`` descriptors); the ring segments keep their size.
+    Applies to workers spawned after the call, respawns included."""
+    from repro.runtime import sharded
+
+    start = sharded._start_worker
+
+    def cap(limit):
+        monkeypatch.setattr(
+            sharded,
+            "_start_worker",
+            lambda ctx, index, ring, ring_bytes: start(ctx, index, ring, limit),
+        )
+
+    return cap

@@ -468,10 +468,9 @@ class TestInstrumentationParity:
         assert _fingerprint(plain) == _fingerprint(live)
         assert registry.metric_names()  # telemetry actually flowed
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_sharded_engine(self, transport):
+    def test_sharded_engine(self):
         pytest.importorskip("numpy")
-        engine = ShardedEngine(workers=2, batch_size=4096, transport=transport)
+        engine = ShardedEngine(workers=2, batch_size=4096)
         try:
             plain = _run(engine)
             assert engine.last_run_stats["mode"] == "sharded"

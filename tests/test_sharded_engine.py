@@ -1,31 +1,35 @@
-"""Multiprocess sharded engine: bit-parity, transports, failure paths.
+"""Multiprocess sharded engine: bit-parity, wire forms, failure paths.
 
 What is covered:
 
 1. **Bit-parity** — samples AND message counters identical to the
-   columnar engine across (batch_size, workers, transport)
-   combinations, including batch size 1 (pure scalar-message
-   transport), rollback-heavy runs, checkpoints, and reused networks
+   columnar engine across (batch_size, workers) combinations,
+   including batch size 1 (pure scalar-message descriptors),
+   rollback-heavy runs, checkpoints, and reused networks
    (two consecutive ``run`` calls continue the RNG streams exactly).
    A broadcast-storm stream drives dozens of mid-window rollbacks
    through the same grid, and the coordinator/counter
    ``snapshot_state``/``restore_state`` hooks behind window recovery
    round-trip exactly.
-2. **Fallbacks** — workers=1, numpy-free installs, instrumented
-   (traced) networks, and non-shardable sites all take the in-process
-   columnar path; the engine is always safe to select.
+2. **Fallbacks** — workers=1, numpy-free installs, platforms without
+   shared memory, instrumented (traced) networks, and non-shardable
+   sites all take the in-process columnar path; the engine is always
+   safe to select.
 3. **Worker failure** — a site raising mid-run surfaces the original
    traceback in the parent and leaves no orphaned processes or
    shared-memory segments.
 4. **Wire form** — ``MessagePack.to_arrays``/``from_arrays`` round-trip
-   (hypothesis property), with exact counter-accounting parity.
+   (hypothesis property), with exact counter-accounting parity; the
+   worker's ring (``"p"``) and inline (``"q"``) pack descriptors decode
+   to equal packs; malformed columns and descriptors raise
+   ``PackWireError``.
 5. **Shard slice views** — per-window grouping matches the columnar
    engine's stable argsort slices, and chunked compaction matches
    whole-column compaction.
 
 Chunked stream shipment is covered in section 1: multi-chunk streams
-stay bit-identical on both transports, warm reruns ship nothing, and
-after a 1M+ item run the parent's shared memory is the rings alone.
+stay bit-identical, warm reruns ship nothing, and after a 1M+ item run
+the parent's shared memory is the rings alone.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +45,14 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ConfigurationError
 from repro.core import DistributedWeightedSWOR, SworConfig
 from repro.net.counters import MessageCounters
-from repro.net.messages import EARLY, REGULAR, SWR_SAMPLE, Message, MessagePack
+from repro.net.messages import (
+    EARLY,
+    REGULAR,
+    SWR_SAMPLE,
+    Message,
+    MessagePack,
+    PackWireError,
+)
 from repro.net.tracing import MessageTrace
 from repro.runtime import (
     ColumnarEngine,
@@ -96,15 +108,11 @@ class TestShardedParity:
     def columnar_1024(self, shared_stream):
         return _fingerprint(_run(shared_stream, ColumnarEngine(batch_size=1024)))
 
-    @pytest.mark.parametrize(
-        "workers,transport", [(2, "shm"), (3, "pipe"), (4, "auto")]
-    )
-    def test_bit_parity_across_workers_and_transports(
-        self, shared_stream, columnar_1024, workers, transport
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_bit_parity_across_workers(
+        self, shared_stream, columnar_1024, workers
     ):
-        engine = ShardedEngine(
-            batch_size=1024, workers=workers, transport=transport
-        )
+        engine = ShardedEngine(batch_size=1024, workers=workers)
         proto = _run(shared_stream, engine)
         assert engine.last_run_stats["mode"] == "sharded"
         assert _fingerprint(proto) == columnar_1024
@@ -290,21 +298,17 @@ class TestChunkedShipment:
         )
 
     @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_multi_chunk_parity(
-        self, small_staging, chunked_stream, columnar_512, transport, workers
+        self, small_staging, chunked_stream, columnar_512, workers
     ):
         # Three workers over eight sites get unequal shards (2/3/3).
-        engine = ShardedEngine(
-            batch_size=512, workers=workers, transport=transport
-        )
+        engine = ShardedEngine(batch_size=512, workers=workers)
         try:
             proto = _run(chunked_stream, engine)
             st = engine.last_run_stats
         finally:
             engine.close()
         assert st["mode"] == "sharded"
-        assert st["transport"] == transport
         assert len(chunked_stream) % CHUNK_ROWS != 0  # a partial last chunk
         assert st["shipment"] == {
             "cached": False,
@@ -314,12 +318,11 @@ class TestChunkedShipment:
         }
         assert _fingerprint(proto) == columnar_512
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_warm_rerun_ships_nothing_and_new_stream_reships(
-        self, small_staging, chunked_stream, columnar_512, transport
+        self, small_staging, chunked_stream, columnar_512
     ):
         other = _stream(n=7_000, seed=6)
-        engine = ShardedEngine(batch_size=512, workers=3, transport=transport)
+        engine = ShardedEngine(batch_size=512, workers=3)
         try:
             _run(chunked_stream, engine)
             rerun = _run(chunked_stream, engine)
@@ -351,7 +354,7 @@ class TestChunkedShipment:
             pytest.skip("RssShmem not readable from /proc/self/status")
         n = 1_200_000
         stream = columnar_zipf_stream(n, SITES, seed=8)
-        engine = ShardedEngine(batch_size=65536, workers=2, transport="shm")
+        engine = ShardedEngine(batch_size=65536, workers=2)
         try:
             proto = _run(stream, engine)
             grown_kib = _rss_shmem_kib() - before
@@ -432,23 +435,11 @@ class TestBroadcastStormParity:
             _storm_run(storm_stream, ColumnarEngine(batch_size=256))
         )
 
-    @pytest.mark.parametrize(
-        "workers,transport",
-        [
-            (2, "shm"),
-            (3, "pipe"),
-            (4, "auto"),
-            (2, "pipe"),
-            (3, "shm"),
-            (4, "pipe"),
-        ],
-    )
+    @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_parity_and_rollback_accounting(
-        self, storm_stream, columnar_256, workers, transport
+        self, storm_stream, columnar_256, workers
     ):
-        engine = ShardedEngine(
-            batch_size=256, workers=workers, transport=transport
-        )
+        engine = ShardedEngine(batch_size=256, workers=workers)
         proto = _storm_run(storm_stream, engine)
         st = engine.last_run_stats
         assert st["mode"] == "sharded"
@@ -468,11 +459,10 @@ class TestBroadcastStormParity:
         assert engine.last_run_stats["mode"] == "sharded"
         assert _fingerprint(proto) == columnar
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_reused_network_continues_through_storm(self, transport):
+    def test_reused_network_continues_through_storm(self):
         # Two consecutive runs on one protocol: the worker finals from
         # run 1 must transplant back so run 2 continues the RNG streams
-        # exactly, whichever transport shipped the windows.
+        # exactly.
         first = _storm(n=3000, seed=9)
         second = _storm(n=3000, seed=10)
 
@@ -483,11 +473,10 @@ class TestBroadcastStormParity:
             return _fingerprint(proto)
 
         assert run_twice(ColumnarEngine(batch_size=256)) == run_twice(
-            ShardedEngine(batch_size=256, workers=3, transport=transport)
+            ShardedEngine(batch_size=256, workers=3)
         )
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_checkpoints_and_steps_match_columnar(self, transport):
+    def test_checkpoints_and_steps_match_columnar(self):
         # Checkpoints force window splits at arbitrary items; the
         # rollback/commit cycle must not disturb their timing.
         stream = _storm(n=6000, seed=11)
@@ -507,8 +496,37 @@ class TestBroadcastStormParity:
             return hits, steps, _fingerprint(proto)
 
         assert run(ColumnarEngine(batch_size=512)) == run(
-            ShardedEngine(batch_size=512, workers=3, transport=transport)
+            ShardedEngine(batch_size=512, workers=3)
         )
+
+    @pytest.mark.parametrize("limit,tags", [(0, {"q"}), (160, {"p", "q"})])
+    def test_packs_past_the_ring_limit_ship_inline(
+        self, storm_stream, columnar_256, shard_ring_limit, monkeypatch,
+        limit, tags,
+    ):
+        # Workers fill their ring only up to ``limit`` bytes a window;
+        # later packs ride inline over the pipe as "q" descriptors,
+        # resends after rollbacks included, and the run stays
+        # bit-identical.
+        shard_ring_limit(limit)
+        seen = set()
+        decode = ShardedEngine._decode
+
+        def spy(self, handle, descriptor, window=None):
+            seen.add(descriptor[1])
+            return decode(self, handle, descriptor, window)
+
+        monkeypatch.setattr(ShardedEngine, "_decode", spy)
+        engine = ShardedEngine(batch_size=256, workers=3)
+        try:
+            proto = _storm_run(storm_stream, engine)
+            st = engine.last_run_stats
+        finally:
+            engine.close()
+        assert st["mode"] == "sharded"
+        assert st["rollbacks"] >= 24
+        assert seen - {"m"} == tags
+        assert _fingerprint(proto) == columnar_256
 
     def test_stats_shape(self, storm_stream):
         engine = ShardedEngine(batch_size=256, workers=2)
@@ -705,6 +723,20 @@ class TestShardedFallbacks:
         assert engine.last_run_stats["reason"] == "numpy unavailable"
         assert _fingerprint(proto) == batched
 
+    def test_missing_shared_memory_falls_back_to_columnar(self, monkeypatch):
+        import repro.runtime.sharded as sharded_mod
+
+        stream = _stream(n=3000, seed=6)
+        monkeypatch.setattr(sharded_mod, "_shared_memory", None)
+        engine = ShardedEngine(batch_size=512, workers=2)
+        proto = _run(stream, engine)
+        assert engine.last_run_stats["mode"] == "fallback"
+        assert engine.last_run_stats["reason"] == "shared memory unavailable"
+        assert engine._pool is None  # no worker was spawned
+        assert _fingerprint(proto) == _fingerprint(
+            _run(stream, ColumnarEngine(batch_size=512))
+        )
+
     def test_traced_network_falls_back_and_traces_identically(self):
         stream = _stream(n=3000, seed=9)
         reference_proto = DistributedWeightedSWOR(
@@ -750,8 +782,6 @@ class TestShardedFallbacks:
             get_engine(ShardedEngine(), workers=2)
         with pytest.raises(ConfigurationError, match="workers must be >= 1"):
             ShardedEngine(workers=0)
-        with pytest.raises(ConfigurationError, match="transport"):
-            ShardedEngine(transport="carrier-pigeon")
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +973,106 @@ class TestPackWireForm:
             )
         with pytest.raises(ValueError, match="regular_extra requires"):
             MessagePack.from_arrays(SWR_SAMPLE, {"regular_extra": [0]})
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {
+                "regular_idents": np.zeros((2, 2), dtype=np.int64),
+                "regular_weights": np.ones((2, 2)),
+                "regular_keys": np.ones((2, 2)),
+            },
+            {
+                "early_idents": [[1], [2]],
+                "early_weights": [[1.0], [2.0]],
+                "early_levels": [[0], [0]],
+            },
+            {
+                "regular_idents": [1, 2],
+                "regular_weights": [1.0, 2.0],
+                "regular_keys": [3.0, 4.0],
+                "regular_extra": [[0, 1], [1, 0]],
+            },
+        ],
+        ids=["regular", "early", "extra"],
+    )
+    def test_from_arrays_rejects_columns_that_are_not_1d(self, columns):
+        with pytest.raises(PackWireError, match="not 1-D"):
+            MessagePack.from_arrays(REGULAR, columns)
+
+    def test_decode_classifies_a_2d_inline_pack_as_poison(self):
+        # Before reaching a coordinator fold (where a 2-D REGULAR pack
+        # crashes with a bare TypeError), the wire boundary rejects it
+        # and the supervisor gets a classified fault.
+        from repro.runtime.sharded import _WorkerFault
+
+        handle = SimpleNamespace(index=0, site_lo=0, site_hi=4, ring=None)
+        square = {
+            "regular_idents": np.zeros((2, 2), dtype=np.int64),
+            "regular_weights": np.ones((2, 2)),
+            "regular_keys": np.ones((2, 2)),
+        }
+        with pytest.raises(_WorkerFault) as excinfo:
+            ShardedEngine(workers=2)._decode(handle, (1, "q", REGULAR, square), 5)
+        assert excinfo.value.fault_class == "poison"
+        assert excinfo.value.window == 5
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(0, "zz", 1), (0, "<i8", 1.5), (0.5, "<i8", 1), (0, "<i8")],
+        ids=[
+            "unknown-dtype",
+            "fractional-count",
+            "fractional-offset",
+            "short-entry",
+        ],
+    )
+    def test_read_from_rejects_malformed_spec_entries(self, entry):
+        spec = {
+            "regular_idents": entry,
+            "regular_weights": (8, "<f8", 1),
+            "regular_keys": (16, "<f8", 1),
+        }
+        with pytest.raises(PackWireError, match="regular_idents"):
+            MessagePack.read_from(bytearray(64), REGULAR, spec)
+
+    @pytest.mark.parametrize(
+        "ring_off,tag", [(0, "p"), (400, "q")], ids=["ring", "inline"]
+    )
+    def test_worker_encode_parent_decode_round_trip(self, ring_off, tag):
+        # A pack that fits the ring's remaining space goes as a ring
+        # descriptor ("p"); one that does not rides inline ("q").
+        # Either way the parent decodes a pack equal to the original.
+        from multiprocessing import shared_memory
+
+        from repro.runtime.sharded import _WorkerShard, _unlink_segments
+
+        pack = MessagePack(
+            early_idents=np.array([7, 8, 9], dtype=np.int64),
+            early_weights=np.array([2.0, 3.0, 5.0]),
+            early_levels=np.array([1, 1, 2], dtype=np.int64),
+            regular_idents=np.arange(5, dtype=np.int64),
+            regular_weights=np.linspace(1.0, 2.0, 5),
+            regular_keys=np.linspace(10.0, 20.0, 5),
+        )
+        ring = shared_memory.SharedMemory(create=True, size=512)
+        try:
+            shard = object.__new__(_WorkerShard)
+            shard.metrics = None
+            shard.ring_view = memoryview(ring.buf)
+            shard.ring_off = ring_off
+            shard.ring_limit = 512  # 112 bytes left at 400 < the pack's 192
+            descriptor = shard._encode(3, pack)
+            assert descriptor[:2] == (3, tag)
+            assert shard.ring_off == (192 if tag == "p" else ring_off)
+            handle = SimpleNamespace(index=0, site_lo=0, site_hi=4, ring=ring)
+            back = ShardedEngine(workers=2)._decode(handle, descriptor)
+            assert back.messages() == pack.messages()
+            assert _counter_fingerprint(back) == _counter_fingerprint(pack)
+            del back
+            shard.ring_view = None
+        finally:
+            _unlink_segments([ring])
 
     def test_from_arrays_coerces_lists(self):
         pack = MessagePack.from_arrays(
